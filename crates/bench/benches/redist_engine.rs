@@ -211,10 +211,10 @@ fn bench_remap_loop_caching(c: &mut Criterion) {
 /// array + fresh machine each) bounce over a 4-pair pool. `shared`
 /// wires every machine to one plan registry — after warm-up no session
 /// ever plans; each one starts with two registry hits and replays
-/// compiled programs. `solo` is the registry-disabled A/B: every
-/// session re-plans both directions (closed-form plan + caterpillar
+/// compiled programs. `solo` hands every session a private registry:
+/// each one re-plans both directions (closed-form plan + caterpillar
 /// schedule + program compile × 16 per iteration). The gap is the
-/// tentpole's payoff for many-session workloads.
+/// shared registry's payoff for many-session workloads.
 fn bench_registry_sessions(c: &mut Criterion) {
     use hpfc::runtime::PlanRegistry;
     use std::sync::Arc;
@@ -230,6 +230,7 @@ fn bench_registry_sessions(c: &mut Criterion) {
             })
             .collect(),
     );
+    // `None`: every session gets a fresh private registry.
     let run_sessions = |pairs: &Arc<Vec<Pair>>, registry: &Option<Arc<PlanRegistry>>| {
         let handles: Vec<_> = (0..SESSIONS)
             .map(|t| {
@@ -237,10 +238,8 @@ fn bench_registry_sessions(c: &mut Criterion) {
                 let registry = registry.clone();
                 std::thread::spawn(move || {
                     let (src, dst): &(_, _) = &pairs[t % PAIRS];
-                    let mut m = match &registry {
-                        Some(reg) => Machine::new(16).with_registry(Arc::clone(reg)),
-                        None => Machine::new(16).without_registry(),
-                    };
+                    let registry = registry.unwrap_or_else(|| Arc::new(PlanRegistry::new(1, 64)));
+                    let mut m = Machine::new(16).with_registry(registry);
                     let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
                     rt.current(&mut m, 0).fill(|p| p[0] as f64);
                     let keep: std::collections::BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -261,70 +260,6 @@ fn bench_registry_sessions(c: &mut Criterion) {
     });
     g.bench_function("solo", |b| {
         b.iter(|| run_sessions(&pairs, &None))
-    });
-    g.finish();
-}
-
-/// Symbolic plans in P (`HPFC_SYMBOLIC`): launch-time instantiation vs
-/// re-running the planner. `replan` is the concrete cost a re-provision
-/// pays per mapping pair without the symbolic layer (closed-form plan +
-/// caterpillar schedule + program compile from the concrete mappings);
-/// `instantiate_new_p` is the symbolic layer's cost for a `P` it has
-/// not seen — rebuild both mappings from the P-free residue in closed
-/// form, then the same pipeline (so it must track `replan`, paid once
-/// per format pair instead of once per mapping pair); and
-/// `instantiate_cached_p` is the re-launch steady state — the
-/// instantiation point is served from the instance cache, an Arc clone.
-/// The registry-entry economics (O(format pairs) vs O(pairs × P)) are
-/// printed next to the times.
-fn bench_symbolic_instantiate(c: &mut Criterion) {
-    use hpfc::mapping::{format_pair, normalize_symbolic};
-    use hpfc::runtime::{PlanRegistry, PlannedRemap, SymbolicPlan};
-
-    let n = 16384u64;
-    let mut g = c.benchmark_group("redist/symbolic_instantiate");
-    let fmt_src = DimFormat::Cyclic(Some(4));
-    let fmt_dst = DimFormat::Cyclic(None);
-    let (sf, _) = normalize_symbolic(&mk(n, 16, fmt_src)).expect("symbolic");
-    let (df, _) = normalize_symbolic(&mk(n, 16, fmt_dst)).expect("symbolic");
-
-    // Registry economics across a re-provisioning sweep: the same 4
-    // format pairs launched at every P. Concrete keying holds one entry
-    // per (pair, P); symbolic keying holds one per pair.
-    let sweep = [4u64, 8, 16, 32, 64];
-    let registry = PlanRegistry::new(8, 1024);
-    for p in sweep {
-        for (fs, fd) in [(fmt_src, fmt_dst), (fmt_dst, fmt_src)] {
-            for extent in [n, 2 * n] {
-                let (src, dst) = (mk(extent, p, fs), mk(extent, p, fd));
-                registry.get_or_instantiate(&src, &dst, 8).expect("symbolic pair");
-            }
-        }
-    }
-    eprintln!(
-        "redist/symbolic_instantiate: {} symbolic entries ({} instantiation points) \
-         serve what concrete keying holds as {} entries across P in {sweep:?}",
-        registry.sym_len(),
-        registry.sym_instances(),
-        registry.sym_instances(),
-    );
-
-    let (src64, dst64) = (mk(n, 64, fmt_src), mk(n, 64, fmt_dst));
-    g.bench_function("replan", |b| {
-        b.iter(|| {
-            std::hint::black_box(PlannedRemap::compile(plan_redistribution(&src64, &dst64, 8)))
-        })
-    });
-    g.bench_function("instantiate_new_p", |b| {
-        b.iter(|| {
-            let sym = SymbolicPlan::new(format_pair(sf, df), 8);
-            std::hint::black_box(sym.instantiate_planned(64, 64, n).expect("realizable"))
-        })
-    });
-    g.bench_function("instantiate_cached_p", |b| {
-        let sym = SymbolicPlan::new(format_pair(sf, df), 8);
-        sym.instantiate_planned(64, 64, n).expect("realizable");
-        b.iter(|| std::hint::black_box(sym.instantiate_planned(64, 64, n).expect("cached")))
     });
     g.finish();
 }
@@ -526,7 +461,6 @@ criterion_group!(
     bench_procs_sweep,
     bench_remap_loop_caching,
     bench_registry_sessions,
-    bench_symbolic_instantiate,
     bench_restore_bounce,
     bench_group_remap,
     bench_fault_overhead,

@@ -455,3 +455,60 @@ fn a_second_interpreter_session_is_served_entirely_by_the_registry() {
     assert_eq!(r1.arrays, r2.arrays, "registry-served sessions agree");
     assert_eq!(r1.stats.bytes, r2.stats.bytes);
 }
+
+#[test]
+fn lowered_plans_serve_execution_seeding_from_the_global_registry() {
+    // Lowering and execution share the process-wide plan registry:
+    // every artifact lowering compiled is registered under its mapping
+    // pair, so the interpreter's frame seeding of the same pairs is
+    // served entirely by registry hits. The extent (1723) is used by no
+    // other test: the global registry is shared by the whole test
+    // binary, and a pair registered elsewhere would hide a lowering
+    // that publishes nowhere.
+    use std::collections::BTreeSet;
+    let src = "subroutine s\nreal :: a(1723)\n!hpf$ processors p(4)\n!hpf$ dynamic a\n\
+               !hpf$ distribute a(block) onto p\na = 1.0\n\
+               !hpf$ redistribute a(cyclic)\na(3) = 2.0\n\
+               !hpf$ redistribute a(block)\nx = a(3)\nend";
+    let compiled = hpfc::compile(src, &CompileOptions::default()).expect("compile");
+    let programs = compiled.programs();
+    let main = compiled.order[0].clone();
+    let mut seeded = BTreeSet::new();
+    programs[&main].for_each_planned_copy(|array, target, copy| {
+        seeded.insert((array, copy.src, target));
+    });
+    assert_eq!(seeded.len(), 2, "BLOCK->CYCLIC and CYCLIC->BLOCK: {seeded:?}");
+    let mut ex = hpfc::Executor {
+        programs: &programs,
+        machine: hpfc::Machine::new(programs[&main].nprocs),
+        config: ExecConfig::default(),
+    };
+    let r = ex.run(&main).expect("run");
+    assert_eq!(r.stats.remaps_performed, 2, "{:?}", r.stats);
+    assert_eq!(r.stats.plans_computed, 0, "{:?}", r.stats);
+    assert_eq!(r.stats.registry_misses, 0, "lowering registered every pair: {:?}", r.stats);
+    assert_eq!(r.stats.registry_hits, seeded.len() as u64, "{:?}", r.stats);
+    assert_eq!(r.arrays["a"][2], 2.0);
+}
+
+#[test]
+fn bad_intrinsic_arity_and_constant_subscripts_end_in_diagnostics() {
+    // Each of these used to compile and then panic inside execution (or,
+    // for `a(0)`, silently write `a(1)`); they must now end in typed
+    // diagnostics from `compile_and_run`.
+    for (stmt, code) in [
+        ("x = sqrt(1.0, 2.0)", hpfc::lang::diag::codes::BAD_CALL),
+        ("x = mod(1.0)", hpfc::lang::diag::codes::BAD_CALL),
+        ("a(0) = 5.0", hpfc::lang::diag::codes::BAD_SUBSCRIPT),
+        ("a(17) = 5.0", hpfc::lang::diag::codes::BAD_SUBSCRIPT),
+    ] {
+        let src = format!(
+            "subroutine s\nreal :: a(16)\n!hpf$ processors p(4)\n\
+             !hpf$ distribute a(block) onto p\na = 1.0\n{stmt}\nend"
+        );
+        let errs = compile_and_run(&src, &CompileOptions::default(), ExecConfig::default())
+            .map(|_| ())
+            .expect_err(stmt);
+        assert!(errs.iter().any(|e| e.code == code), "{stmt}: {errs:?}");
+    }
+}

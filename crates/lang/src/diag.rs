@@ -70,6 +70,9 @@ pub mod codes {
     pub const NOT_DYNAMIC: &str = "E015";
     /// Mapping algebra error (bad block size, alignment overflow, …).
     pub const MAPPING: &str = "E016";
+    /// Array reference whose subscripts do not fit the declaration:
+    /// wrong subscript count, or a constant outside the declared bounds.
+    pub const BAD_SUBSCRIPT: &str = "E017";
     /// Reference with an ambiguous mapping (paper restriction 1,
     /// Fig. 5).
     pub const AMBIGUOUS_REF: &str = "E020";
@@ -77,7 +80,8 @@ pub mod codes {
     /// (paper App. A, Fig. 21 — rejected under the paper's simplifying
     /// assumption).
     pub const MULTI_LEAVING: &str = "E021";
-    /// Wrong number/shape of call arguments.
+    /// Wrong number/shape of call arguments (routine calls and
+    /// intrinsic functions).
     pub const BAD_CALL: &str = "E022";
     /// Ambiguous mapping *state* accepted because unreferenced
     /// (paper Fig. 6) — informational warning.

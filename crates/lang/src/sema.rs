@@ -595,6 +595,11 @@ impl Analyzer {
             match s {
                 Stmt::Assign { lhs, rhs, span } => {
                     self.check_ref(&lhs.name, !lhs.subs.is_empty(), *span);
+                    if let (Some(Symbol::Array(a)), false) =
+                        (self.symbols.get(&lhs.name), lhs.subs.is_empty())
+                    {
+                        self.check_subscripts(*a, &lhs.name, &lhs.subs, lhs.span);
+                    }
                     for e in &lhs.subs {
                         self.check_expr(e);
                     }
@@ -769,21 +774,113 @@ impl Analyzer {
         }
     }
 
+    /// Resolve every name in `e` (unknown scalars are declared
+    /// implicitly) and check that every `name(args)` is an array
+    /// element whose subscripts fit the declaration or an intrinsic
+    /// call with the right number of arguments.
     fn check_expr(&mut self, e: &Expr) {
-        let mut refs = Vec::new();
-        e.collect_refs(&mut refs);
-        for (name, subscripted, span) in refs {
-            if is_intrinsic(&name) && subscripted {
-                continue;
+        match e {
+            Expr::Var(name, span) => self.check_ref(name, false, *span),
+            Expr::Ref { name, subs, span } => {
+                match self.symbols.get(name) {
+                    Some(Symbol::Array(a)) => self.check_subscripts(*a, name, subs, *span),
+                    _ => match intrinsic_arity(name) {
+                        Some((min, max)) if subs.len() < min || subs.len() > max => {
+                            let at_least = if max == usize::MAX { "at least " } else { "" };
+                            self.err(
+                                codes::BAD_CALL,
+                                *span,
+                                format!(
+                                    "intrinsic `{name}` takes {at_least}{min} argument(s), got {}",
+                                    subs.len()
+                                ),
+                            );
+                        }
+                        Some(_) => {}
+                        None => self.err(
+                            codes::UNRESOLVED,
+                            *span,
+                            format!("`{name}` is neither an array nor an intrinsic function"),
+                        ),
+                    },
+                }
+                for s in subs {
+                    self.check_expr(s);
+                }
             }
-            self.check_ref(&name, subscripted, span);
+            Expr::Bin { l, r, .. } => {
+                self.check_expr(l);
+                self.check_expr(r);
+            }
+            Expr::Un { e, .. } => self.check_expr(e),
+            Expr::Int(..) | Expr::Real(..) => {}
+        }
+    }
+
+    /// An element reference `name(subs)` to array `a` needs one
+    /// subscript per dimension, and a constant subscript must lie in the
+    /// declared bounds `1..=extent`. Computed subscripts are not checked
+    /// here.
+    fn check_subscripts(&mut self, a: ArrayId, name: &str, subs: &[Expr], span: Span) {
+        let extents = &self.env.array(a).extents;
+        let problem = if subs.len() != extents.rank() {
+            Some(format!(
+                "`{name}` has rank {} but is referenced with {} subscript(s)",
+                extents.rank(),
+                subs.len()
+            ))
+        } else {
+            subs.iter().enumerate().find_map(|(d, sub)| {
+                let v = const_i64(sub)?;
+                let hi = extents.extent(d);
+                (v < 1 || v as u64 > hi).then(|| {
+                    format!(
+                        "subscript {v} of `{name}` (dimension {}) is outside the declared \
+                         bounds 1:{hi}",
+                        d + 1
+                    )
+                })
+            })
+        };
+        if let Some(msg) = problem {
+            self.err(codes::BAD_SUBSCRIPT, span, msg);
         }
     }
 }
 
 /// Names treated as intrinsic functions in expressions.
 pub fn is_intrinsic(name: &str) -> bool {
-    matches!(name, "sqrt" | "abs" | "mod" | "min" | "max" | "sin" | "cos" | "exp" | "real")
+    intrinsic_arity(name).is_some()
+}
+
+/// The accepted argument counts `(min, max)` of an intrinsic function,
+/// or `None` when `name` is not one.
+fn intrinsic_arity(name: &str) -> Option<(usize, usize)> {
+    match name {
+        "sqrt" | "abs" | "sin" | "cos" | "exp" | "real" => Some((1, 1)),
+        "mod" => Some((2, 2)),
+        "min" | "max" => Some((1, usize::MAX)),
+        _ => None,
+    }
+}
+
+/// The value of an integer constant expression, if `e` is one.
+fn const_i64(e: &Expr) -> Option<i64> {
+    match e {
+        Expr::Int(v, _) => Some(*v),
+        Expr::Un { op: UnOp::Neg, e, .. } => const_i64(e)?.checked_neg(),
+        Expr::Bin { op, l, r, .. } => {
+            let (a, b) = (const_i64(l)?, const_i64(r)?);
+            match op {
+                BinOp::Add => a.checked_add(b),
+                BinOp::Sub => a.checked_sub(b),
+                BinOp::Mul => a.checked_mul(b),
+                BinOp::Div if b != 0 => a.checked_div(b),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
 }
 
 fn const_dims(dims: &[Expr]) -> Option<Vec<u64>> {

@@ -190,3 +190,30 @@ fn loop_variable_is_implicitly_declared() {
     let m = frontend(src).unwrap();
     assert!(matches!(m.main().symbols["i"], Symbol::Scalar(hpfc_lang::TypeSpec::Integer)));
 }
+
+#[test]
+fn malformed_element_references_and_intrinsic_calls_are_rejected() {
+    for (stmt, code) in [
+        ("x = sqrt(1.0, 2.0)", codes::BAD_CALL),
+        ("x = mod(1.0)", codes::BAD_CALL),
+        ("x = abs(a(1), 2.0)", codes::BAD_CALL),
+        ("x = foo(1.0)", codes::UNRESOLVED),
+        ("a(0) = 5.0", codes::BAD_SUBSCRIPT),
+        ("a(17) = 5.0", codes::BAD_SUBSCRIPT),
+        ("a(-3) = 7.0", codes::BAD_SUBSCRIPT),
+        ("a(2*8+1) = 1.0", codes::BAD_SUBSCRIPT),
+        ("x = a(17)", codes::BAD_SUBSCRIPT),
+        ("x = sqrt(a(0))", codes::BAD_SUBSCRIPT),
+        ("a(1, 2) = 5.0", codes::BAD_SUBSCRIPT),
+    ] {
+        let src = format!("subroutine s\nreal :: a(16)\n{stmt}\nend");
+        let errs = frontend(&src).unwrap_err();
+        assert!(errs.iter().any(|e| e.code == code), "{stmt}: {errs:?}");
+    }
+    // Right arities, the declared bounds themselves, and computed
+    // subscripts (not checked statically) are accepted.
+    let src = "subroutine s\nreal :: a(16)\n\
+               x = sqrt(4.0) + mod(5.0, 2.0) + max(1.0, 2.0, 3.0) + min(a(1))\n\
+               a(1) = 1.0\na(16) = a(2*8)\ndo i = 1, 17\na(i) = 0.0\nenddo\nend";
+    frontend(src).expect("well-formed references pass");
+}

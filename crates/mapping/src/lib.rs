@@ -45,7 +45,6 @@ pub mod intern;
 pub mod intervals;
 pub mod layout;
 pub mod mapping;
-pub mod symbolic;
 
 pub mod testing;
 
@@ -59,7 +58,6 @@ pub use intern::{MappingPair, PairInterner};
 pub use intervals::{intersect_runs, PeriodicSet};
 pub use layout::{DimLayout, Locus};
 pub use mapping::{DimMap, DimSource, Mapping, NormalizedMapping};
-pub use symbolic::{format_pair, normalize_symbolic, FormatPair, FormatPairInterner, SymbolicFormat};
 
 /// Identifies an abstract (dynamic) array of the source program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -40,14 +40,8 @@
 //!   LRU-bounded, process-wide registry of compiled remap artifacts,
 //!   keyed by hash-consed mapping-pair identity
 //!   ([`hpfc_mapping::intern`]) and shared by every array, program,
-//!   and interpreter session (`HPFC_REGISTRY`); per-array plan caches
-//!   are thin views that seed from and publish to it;
-//! * [`symbolic::SymbolicPlan`] — plans symbolic in the processor
-//!   count: one parametric entry per interned `(format, format)` pair
-//!   (`HPFC_SYMBOLIC`, default on), instantiated in closed form at any
-//!   `P` at launch time, shrinking the registry to O(format pairs) and
-//!   turning a fleet re-provision (P=16 → P=64) into cheap
-//!   instantiations instead of a recompile;
+//!   and interpreter session; per-array plan caches are thin views
+//!   that seed from and publish to it;
 //! * [`fault::FaultPlan`] — deterministic fault injection
 //!   (`HPFC_FAULTS`), per-round validation (`HPFC_VALIDATE`), and the
 //!   self-healing recovery ladder behind [`status::ArrayRt::remap_guarded`]
@@ -73,7 +67,6 @@ pub mod registry;
 pub mod schedule;
 pub mod status;
 pub mod store;
-pub mod symbolic;
 
 pub use exec::{CompileDecline, CopyProgram, CopyRun, CopyUnit, ExecMode, GroupCopyProgram, Kernel,
               StrideFamily};
@@ -81,8 +74,7 @@ pub use fault::{ExecError, FaultKind, FaultPlan, ValidationLevel};
 pub use group::{remap_group, try_remap_group, GroupMember, PlannedGroup};
 pub use machine::{CostModel, Machine, NetStats};
 pub use redist::{plan_by_enumeration, plan_redistribution, RedistPlan, Transfer};
-pub use registry::{PlanRegistry, RegistryConfig, RegistryOutcome};
+pub use registry::{PlanRegistry, RegistryOutcome};
 pub use schedule::{CommSchedule, MsgDim, PackedMessage};
 pub use status::{ArrayRt, PlannedRemap};
 pub use store::VersionData;
-pub use symbolic::{SymbolicOutcome, SymbolicPlan};

@@ -126,14 +126,6 @@ pub struct NetStats {
     /// Registry lock acquisitions that recovered a poisoned shard lock
     /// (`Mutex::into_inner` instead of an `unwrap` panic).
     pub lock_poison_recoveries: u64,
-    /// Concrete artifacts materialized from a symbolic (P-free) plan:
-    /// a format-pair registry entry instantiated at a processor count
-    /// it had not seen before, instead of re-running the planner.
-    pub symbolic_instantiations: u64,
-    /// Mapping pairs the symbolic normalizer declined (replication,
-    /// constant alignments, multi-dimensional grids, degenerate
-    /// placements) — those fall back to concrete per-pair plan keys.
-    pub symbolic_declines: u64,
 }
 
 impl NetStats {
@@ -165,8 +157,6 @@ impl NetStats {
         self.group_rollbacks += o.group_rollbacks;
         self.quarantined_pairs += o.quarantined_pairs;
         self.lock_poison_recoveries += o.lock_poison_recoveries;
-        self.symbolic_instantiations += o.symbolic_instantiations;
-        self.symbolic_declines += o.symbolic_declines;
     }
 
     /// One-line human-readable digest (experiment drivers, examples).
@@ -228,13 +218,6 @@ impl NetStats {
                 self.lock_poison_recoveries,
             ));
         }
-        let symbolic = self.symbolic_instantiations + self.symbolic_declines;
-        if symbolic > 0 {
-            s.push_str(&format!(
-                " | symbolic {} instantiated / {} declined",
-                self.symbolic_instantiations, self.symbolic_declines,
-            ));
-        }
         s
     }
 }
@@ -246,19 +229,6 @@ impl NetStats {
 fn txn_from_env() -> bool {
     !matches!(
         std::env::var("HPFC_TXN").as_deref().map(str::trim),
-        Ok("off") | Ok("0") | Ok("false") | Ok("no")
-    )
-}
-
-/// The `HPFC_SYMBOLIC` knob: symbolic (P-free) plan keying is **on**
-/// unless the variable opts out (`off` / `0` / `false` / `no`).
-/// Anything else — including unset, empty, or garbage — selects the
-/// default (on), mirroring `HPFC_TXN`: declines always fall back to
-/// concrete keys, so the symbolic path is never less correct, only
-/// smaller-keyed.
-pub(crate) fn symbolic_from_env() -> bool {
-    !matches!(
-        std::env::var("HPFC_SYMBOLIC").as_deref().map(str::trim),
         Ok("off") | Ok("0") | Ok("false") | Ok("no")
     )
 }
@@ -348,11 +318,11 @@ pub struct Machine {
     /// faults unset and validation [`crate::ValidationLevel::Off`], the
     /// remap path is the unguarded allocation-free fast path.
     pub validation: crate::fault::ValidationLevel,
-    /// The shared plan registry this machine seeds from and publishes
-    /// to on local plan-cache misses. Defaults to the process-wide
-    /// instance ([`crate::PlanRegistry::global`], `HPFC_REGISTRY`);
-    /// `None` plans solo — the pre-registry behavior, kept for A/B.
-    pub registry: Option<std::sync::Arc<crate::registry::PlanRegistry>>,
+    /// The plan registry this machine seeds from and publishes to on
+    /// local plan-cache misses. Defaults to the process-wide instance
+    /// ([`crate::PlanRegistry::global`]); a solo machine is handed a
+    /// private one ([`Machine::with_registry`]).
+    pub registry: std::sync::Arc<crate::registry::PlanRegistry>,
     /// Whether remaps are transactional: before a guarded data-moving
     /// replay the destination's rollback record is captured, and any
     /// terminal [`crate::ExecError`] restores the array (and every
@@ -361,14 +331,6 @@ pub struct Machine {
     /// A/B runs). The snapshot only arms on the *guarded* path — the
     /// default fault-free cached bounce is untouched.
     pub txn: bool,
-    /// Whether plan lookups go through the symbolic (P-free) layer:
-    /// registry entries are keyed by interned `(format, format)` pairs
-    /// and re-provisioning to a new processor count instantiates the
-    /// parametric plan instead of recompiling. On by default
-    /// (`HPFC_SYMBOLIC=off` or [`Machine::with_symbolic`] restores the
-    /// concrete per-mapping-pair keying for A/B). Shapes the symbolic
-    /// normalizer declines always fall back to concrete keys.
-    pub symbolic: bool,
     /// Reusable per-phase accounting buffers.
     scratch: PhaseScratch,
     /// Reusable solo-remap rollback record (capacity persists across
@@ -393,9 +355,8 @@ impl Machine {
             exec_mode: ExecMode::from_env(),
             faults: crate::fault::FaultPlan::from_env(),
             validation: crate::fault::ValidationLevel::from_env(),
-            registry: crate::registry::PlanRegistry::global().cloned(),
+            registry: std::sync::Arc::clone(crate::registry::PlanRegistry::global()),
             txn: txn_from_env(),
-            symbolic: symbolic_from_env(),
             scratch: PhaseScratch::default(),
             txn_scratch: crate::store::TxnScratch::default(),
             group_txn_scratch: Vec::new(),
@@ -434,31 +395,15 @@ impl Machine {
         self
     }
 
-    /// Builder-style override of symbolic plan keying
-    /// (`HPFC_SYMBOLIC`). `false` restores concrete per-mapping-pair
-    /// registry keys — the O(mapping pairs) baseline the symbolic
-    /// layer's O(format pairs) registry is pinned against.
-    pub fn with_symbolic(mut self, symbolic: bool) -> Self {
-        self.symbolic = symbolic;
-        self
-    }
-
-    /// Builder-style shared plan registry — sessions handed the same
-    /// `Arc` share compiled artifacts. Tests use isolated instances so
-    /// their hit/miss/eviction counters are exact.
+    /// Builder-style plan registry — sessions handed the same `Arc`
+    /// share compiled artifacts; a private instance makes the machine
+    /// plan solo. Tests use isolated instances so their
+    /// hit/miss/eviction counters are exact.
     pub fn with_registry(
         mut self,
         registry: std::sync::Arc<crate::registry::PlanRegistry>,
     ) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Builder-style opt-out of the shared registry: this machine
-    /// plans solo in its per-array caches (the pre-registry path, the
-    /// A/B baseline for `HPFC_REGISTRY=off`).
-    pub fn without_registry(mut self) -> Self {
-        self.registry = None;
+        self.registry = registry;
         self
     }
 
@@ -593,8 +538,6 @@ mod tests {
             group_rollbacks: base + 23,
             quarantined_pairs: base + 24,
             lock_poison_recoveries: base + 25,
-            symbolic_instantiations: base + 26,
-            symbolic_declines: base + 27,
         };
         let mut merged = mk(100);
         merged.merge(&mk(1000));
@@ -627,8 +570,6 @@ mod tests {
             group_rollbacks,
             quarantined_pairs,
             lock_poison_recoveries,
-            symbolic_instantiations,
-            symbolic_declines,
         } = merged;
         assert_eq!(messages, 101 + 1001);
         assert_eq!(bytes, 102 + 1002);
@@ -656,13 +597,11 @@ mod tests {
         assert_eq!(group_rollbacks, 123 + 1023);
         assert_eq!(quarantined_pairs, 124 + 1024);
         assert_eq!(lock_poison_recoveries, 125 + 1025);
-        assert_eq!(symbolic_instantiations, 126 + 1026);
-        assert_eq!(symbolic_declines, 127 + 1027);
         // With every counter nonzero, all conditional summary segments
         // print, and every u64 counter's value appears verbatim —
         // summary() cannot silently omit a field either.
         let s = mk(200).summary();
-        for v in 201..=227u64 {
+        for v in 201..=225u64 {
             assert!(s.contains(&v.to_string()), "summary misses {v}: {s}");
         }
         assert!(s.contains("200.5"), "summary misses time_us: {s}");

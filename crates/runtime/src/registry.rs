@@ -66,16 +66,15 @@
 //!
 //! # Configuration
 //!
-//! The process-wide instance behind [`PlanRegistry::global`] is
-//! configured once from `HPFC_REGISTRY` (see [`RegistryConfig`]):
-//! `HPFC_REGISTRY=shards=S,cap=C` sizes it, `HPFC_REGISTRY=off`
-//! disables it entirely — every `Machine` then plans solo, the exact
-//! pre-registry behavior, kept compilable for A/B runs.
+//! The process-wide instance behind [`PlanRegistry::global`] has 8
+//! shards and room for 4096 entries. A machine that must not share
+//! artifacts (a "solo" session, or a test pinning exact counters) is
+//! handed a private [`PlanRegistry::new`] instead.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 use hpfc_mapping::intern::{self, MappingPair};
 use hpfc_mapping::NormalizedMapping;
@@ -84,68 +83,12 @@ use crate::group::PlannedGroup;
 use crate::redist::plan_redistribution;
 use crate::status::PlannedRemap;
 
-/// Sizing and on/off switch for the process-wide registry, parsed once
-/// from the `HPFC_REGISTRY` environment variable.
-///
-/// Accepted forms (comma-separated fragments; unrecognized fragments
-/// are ignored — configuration must never crash the engine):
-///
-/// * `off` / `0` / `disabled` / `none` — no shared registry; every
-///   machine plans solo (the pre-registry path, kept for A/B).
-/// * `on` — the defaults (8 shards, 4096 entries).
-/// * `shards=S,cap=C` — override either or both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegistryConfig {
-    /// Whether the process-wide registry exists at all.
-    pub enabled: bool,
-    /// Shard count (lock granularity); clamped to at least 1.
-    pub shards: usize,
-    /// Total entry capacity across shards; clamped to at least the
-    /// shard count (each shard holds at least one entry).
-    pub cap: usize,
-}
-
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        // Generous by default: 4096 (pair, elem_size) entries is far
-        // beyond any workload in the repo, so eviction only happens
-        // when explicitly forced small (tests) or under true pressure.
-        RegistryConfig { enabled: true, shards: 8, cap: 4096 }
-    }
-}
-
-impl RegistryConfig {
-    /// Parse the `HPFC_REGISTRY` syntax. Unset or empty means the
-    /// defaults (enabled).
-    pub fn parse(s: &str) -> RegistryConfig {
-        let mut cfg = RegistryConfig::default();
-        match s.trim() {
-            "" | "on" | "1" => return cfg,
-            "off" | "0" | "disabled" | "none" => {
-                cfg.enabled = false;
-                return cfg;
-            }
-            _ => {}
-        }
-        for frag in s.split(',') {
-            let Some((key, value)) = frag.split_once('=') else { continue };
-            match (key.trim(), value.trim().parse::<usize>()) {
-                ("shards", Ok(n)) => cfg.shards = n.max(1),
-                ("cap", Ok(n)) => cfg.cap = n.max(1),
-                _ => {}
-            }
-        }
-        cfg
-    }
-
-    /// Read `HPFC_REGISTRY` from the process environment.
-    pub fn from_env() -> RegistryConfig {
-        match std::env::var("HPFC_REGISTRY") {
-            Ok(s) => RegistryConfig::parse(&s),
-            Err(_) => RegistryConfig::default(),
-        }
-    }
-}
+/// Lock shards of the process-wide registry.
+const GLOBAL_SHARDS: usize = 8;
+/// Entry capacity of the process-wide registry: far beyond any workload
+/// in the repo, so eviction only happens when a registry is explicitly
+/// built small (tests) or under true pressure.
+const GLOBAL_CAP: usize = 4096;
 
 /// What one registry access did, for the caller's [`crate::NetStats`]
 /// bookkeeping (`registry_hits` / `registry_misses` /
@@ -161,15 +104,9 @@ pub struct RegistryOutcome {
     pub lock_recoveries: u64,
 }
 
-/// Key of one solo entry: the interned pair's pointer (identity) plus
-/// the element size the plan was computed for.
+/// Key of one entry: the interned pair's pointer (identity) plus the
+/// element size the plan was computed for.
 type PlanKey = (usize, u64);
-
-/// Key of one symbolic entry: the interned format pair's pointer plus
-/// the element size. Each [`SymbolicPlan`] holds its pair strongly, so
-/// — exactly as with [`PlanKey`] — the pointer cannot dangle or be
-/// recycled while the entry lives.
-type SymKey = (usize, u64);
 
 struct Entry {
     planned: Arc<PlannedRemap>,
@@ -235,13 +172,6 @@ pub struct PlanRegistry {
     /// Pairs whose artifacts keep failing repair (off the hot path:
     /// only consulted when the quarantine table is non-empty).
     quarantine: Mutex<HashMap<PlanKey, QuarantineEntry>>,
-    /// Parametric plans keyed by interned format pair (`HPFC_SYMBOLIC`
-    /// keying). Deliberately unbounded and un-evicted: the table is
-    /// O(format pairs) *by design* — that bound is the whole point of
-    /// the symbolic layer, and each entry amortizes over every `P` a
-    /// job is ever launched on. One lock, not shards: entries are few
-    /// and materialization is one-time per instantiation point.
-    sym: Mutex<HashMap<SymKey, Arc<crate::symbolic::SymbolicPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -275,7 +205,6 @@ impl PlanRegistry {
             shard_cap,
             groups: Mutex::new(GroupShard { map: HashMap::new(), clock: 0 }),
             quarantine: Mutex::new(HashMap::new()),
-            sym: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -284,23 +213,13 @@ impl PlanRegistry {
         }
     }
 
-    /// A registry sized by a [`RegistryConfig`] (the `enabled` flag is
-    /// the caller's concern).
-    pub fn with_config(cfg: &RegistryConfig) -> PlanRegistry {
-        PlanRegistry::new(cfg.shards, cfg.cap)
-    }
-
-    /// The process-wide registry, created on first use from
-    /// `HPFC_REGISTRY` (read **once** per process). `None` when the
-    /// variable disables it — callers then plan solo.
-    pub fn global() -> Option<&'static Arc<PlanRegistry>> {
-        static GLOBAL: OnceLock<Option<Arc<PlanRegistry>>> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| {
-                let cfg = RegistryConfig::from_env();
-                cfg.enabled.then(|| Arc::new(PlanRegistry::with_config(&cfg)))
-            })
-            .as_ref()
+    /// The process-wide registry (8 shards × 4096 entries), created on
+    /// first use. Every [`crate::Machine::new`] and every lowering
+    /// shares it.
+    pub fn global() -> &'static Arc<PlanRegistry> {
+        static GLOBAL: LazyLock<Arc<PlanRegistry>> =
+            LazyLock::new(|| Arc::new(PlanRegistry::new(GLOBAL_SHARDS, GLOBAL_CAP)));
+        &GLOBAL
     }
 
     /// Lock `m`, recovering from poisoning via `into_inner` instead of
@@ -494,146 +413,6 @@ impl PlanRegistry {
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
-    /// The registered artifact for `(src, dst)` at `elem_size`, if any
-    /// — a read-only probe (touches LRU recency, counts nothing).
-    pub fn get(
-        &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
-    ) -> Option<Arc<PlannedRemap>> {
-        let pair: MappingPair = intern::pair(src, dst);
-        let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
-        let (mut shard, _) = self.lock_recover(self.shard_of(key));
-        shard.clock += 1;
-        let stamp = shard.clock;
-        let e = shard.map.get_mut(&key)?;
-        e.stamp = stamp;
-        Some(Arc::clone(&e.planned))
-    }
-
-    /// A counted probe of the concrete tables for `(src, dst)` at
-    /// `elem_size` — the first leg of the symbolic flow. Mirrors
-    /// the internal lookup-or-compile serving order exactly: a
-    /// quarantined pair short-circuits to its program-stripped artifact
-    /// (consuming one backoff-window slot), then the shard is probed,
-    /// touching LRU recency. A hit bills the registry-internal hit
-    /// counter and sets `out.hit`; a miss bills **nothing** — the
-    /// caller decides whether the symbolic table or a concrete compile
-    /// resolves it, and that path does the miss accounting.
-    pub fn probe(
-        &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
-    ) -> (Option<Arc<PlannedRemap>>, RegistryOutcome) {
-        let pair: MappingPair = intern::pair(src, dst);
-        let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
-        let mut out = RegistryOutcome::default();
-        if self.quarantined.load(Ordering::Relaxed) != 0 {
-            if let Some(stripped) = self.quarantine_probe(key, &mut out) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                out.hit = true;
-                return (Some(stripped), out);
-            }
-        }
-        let (mut shard, rec) = self.lock_recover(self.shard_of(key));
-        out.lock_recoveries += rec;
-        shard.clock += 1;
-        let stamp = shard.clock;
-        if let Some(e) = shard.map.get_mut(&key) {
-            e.stamp = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            out.hit = true;
-            return (Some(Arc::clone(&e.planned)), out);
-        }
-        (None, out)
-    }
-
-    /// The symbolic-keyed artifact for `(src, dst)` at `elem_size`:
-    /// both mappings are reduced to their P-free residues
-    /// ([`hpfc_mapping::normalize_symbolic`]), the residue pair is
-    /// interned, and the per-format-pair [`crate::SymbolicPlan`] — created on
-    /// first sight, served ever after — materializes the concrete
-    /// artifact at this exact `(p_src, p_dst, extent)` instantiation
-    /// point.
-    ///
-    /// `None` (a *decline*, `NetStats::symbolic_declines`) when either
-    /// mapping has no symbolic residue, the extents differ, or the
-    /// formats cannot be realized at the requested point; nothing is
-    /// billed and nothing is cached — the caller falls back to the
-    /// concrete [`PlanRegistry::try_get_or_compile`] path.
-    ///
-    /// Billing on success mirrors the concrete scheme so compile-once
-    /// accounting holds under both keyings: a fresh format pair is a
-    /// registry *miss* (the caller additionally bills
-    /// `plans_computed`); a known pair is a *hit*, and if this call
-    /// materialized a new instantiation point, `out.instantiated` marks
-    /// the cheap cross-`P` path (`NetStats::symbolic_instantiations`).
-    pub fn get_or_instantiate(
-        &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
-    ) -> Option<(Arc<PlannedRemap>, crate::SymbolicOutcome)> {
-        let (src_fmt, p_src) = hpfc_mapping::normalize_symbolic(src)?;
-        let (dst_fmt, p_dst) = hpfc_mapping::normalize_symbolic(dst)?;
-        if src.array_extents != dst.array_extents || src.array_extents.rank() != 1 {
-            return None;
-        }
-        let extent = src.array_extents.extent(0);
-        let formats = hpfc_mapping::format_pair(src_fmt, dst_fmt);
-        let key: SymKey = (Arc::as_ptr(&formats) as usize, elem_size);
-        let mut out = crate::SymbolicOutcome::default();
-        let (mut sym, rec) = self.lock_recover(&self.sym);
-        out.lock_recoveries += rec;
-        let (plan, known) = match sym.get(&key) {
-            Some(plan) => (Arc::clone(plan), true),
-            None => {
-                let plan = Arc::new(crate::SymbolicPlan::new(formats, elem_size));
-                sym.insert(key, Arc::clone(&plan));
-                (plan, false)
-            }
-        };
-        // Materialize under the table lock: racing sessions instantiate
-        // each point exactly once (the instance cache's own lock makes
-        // this belt-and-braces, but holding the table lock keeps the
-        // hit/miss decision and the artifact atomic).
-        let (planned, fresh) = match plan.instantiate_planned(p_src, p_dst, extent) {
-            Some(r) => r,
-            None => {
-                // Unrealizable point: withdraw a pair entry this call
-                // created so a decline leaves no trace.
-                if !known {
-                    sym.remove(&key);
-                }
-                return None;
-            }
-        };
-        drop(sym);
-        if known {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            out.hit = true;
-            out.instantiated = fresh;
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        Some((planned, out))
-    }
-
-    /// Registered symbolic (format-pair) entries — O(format pairs) by
-    /// design; compare [`PlanRegistry::len`], which counts concrete
-    /// per-mapping-pair entries.
-    pub fn sym_len(&self) -> usize {
-        self.lock_recover(&self.sym).0.len()
-    }
-
-    /// Total concrete instantiation points materialized across all
-    /// symbolic entries (each is one cached plan → schedule → program).
-    pub fn sym_instances(&self) -> usize {
-        self.lock_recover(&self.sym).0.values().map(|p| p.instances()).sum()
-    }
-
     /// The shared directive-level group artifact for `members` (in
     /// order): served if a group over identical member artifacts is
     /// registered, otherwise compiled and registered. Group identity is
@@ -804,22 +583,6 @@ mod tests {
     // registry of the unit-test binary never collide with other tests.
     fn pair_for(n: u64) -> (NormalizedMapping, NormalizedMapping) {
         (mapping_1d(n, 4, DimFormat::Block(None)), mapping_1d(n, 4, DimFormat::Cyclic(Some(2))))
-    }
-
-    #[test]
-    fn parse_accepts_the_documented_forms() {
-        assert_eq!(RegistryConfig::parse(""), RegistryConfig::default());
-        assert_eq!(RegistryConfig::parse("on"), RegistryConfig::default());
-        assert!(!RegistryConfig::parse("off").enabled);
-        assert!(!RegistryConfig::parse("0").enabled);
-        let cfg = RegistryConfig::parse("shards=2,cap=16");
-        assert_eq!((cfg.enabled, cfg.shards, cfg.cap), (true, 2, 16));
-        // Tolerant: unknown fragments and garbage values are ignored.
-        let cfg = RegistryConfig::parse("shards=3,bogus=1,cap=zzz");
-        assert_eq!((cfg.shards, cfg.cap), (3, RegistryConfig::default().cap));
-        // Zero sizes are clamped, never panic.
-        let cfg = RegistryConfig::parse("shards=0,cap=0");
-        assert_eq!((cfg.shards, cfg.cap), (1, 1));
     }
 
     #[test]

@@ -101,8 +101,7 @@ impl ArrayRt {
     /// machine's shared [`crate::PlanRegistry`] serves the artifact if
     /// any session has registered it (`registry_hits`), otherwise the
     /// pipeline is compiled **once registry-wide** and registered
-    /// (`registry_misses` + `plans_computed`). Without a registry the
-    /// miss compiles solo, the pre-registry behavior.
+    /// (`registry_misses` + `plans_computed`).
     pub fn planned(&mut self, machine: &mut Machine, src: u32, dst: u32) -> Arc<PlannedRemap> {
         self.planned_with(machine, src, dst, false)
     }
@@ -124,103 +123,31 @@ impl ArrayRt {
             machine.stats.plan_cache_hits += 1;
             return Arc::clone(p);
         }
-        let entry = match machine.registry.clone() {
-            Some(reg) => {
-                // Symbolic keying (`HPFC_SYMBOLIC`, default on): probe
-                // the concrete tables first — a seeded, adopted,
-                // installed, or quarantined artifact is always served
-                // as-is — then resolve through the per-format-pair
-                // symbolic table. Shapes the symbolic normalizer
-                // declines fall through to the concrete compile path
-                // below. Injected compile panics stay on the concrete
-                // path: the panic must unwind inside
-                // compile-under-lock to exercise containment.
-                if machine.symbolic && !inject_compile_panic {
-                    let (found, out) = reg.probe(
-                        &self.mappings[src as usize],
-                        &self.mappings[dst as usize],
-                        self.elem_size,
-                    );
-                    machine.stats.lock_poison_recoveries += out.lock_recoveries;
-                    if let Some(planned) = found {
-                        machine.stats.registry_hits += 1;
-                        self.plan_cache.insert((src, dst), Arc::clone(&planned));
-                        return planned;
-                    }
-                    if let Some((planned, sym)) = reg.get_or_instantiate(
-                        &self.mappings[src as usize],
-                        &self.mappings[dst as usize],
-                        self.elem_size,
-                    ) {
-                        machine.stats.lock_poison_recoveries += sym.lock_recoveries;
-                        if sym.hit {
-                            machine.stats.registry_hits += 1;
-                            if sym.instantiated {
-                                machine.stats.symbolic_instantiations += 1;
-                            }
-                        } else {
-                            // First sight of this format pair: billed
-                            // exactly like a concrete compile, so
-                            // compile-once accounting is identical
-                            // under both keying schemes.
-                            machine.stats.registry_misses += 1;
-                            machine.stats.plans_computed += 1;
-                        }
-                        self.plan_cache.insert((src, dst), Arc::clone(&planned));
-                        return planned;
-                    }
-                    machine.stats.symbolic_declines += 1;
+        let reg = &machine.registry;
+        let (src_map, dst_map) = (&self.mappings[src as usize], &self.mappings[dst as usize]);
+        let (res, out) =
+            reg.try_get_or_compile(src_map, dst_map, self.elem_size, inject_compile_panic);
+        machine.stats.registry_evictions += out.evicted;
+        machine.stats.lock_poison_recoveries += out.lock_recoveries;
+        let entry = match res {
+            Ok(planned) => {
+                if out.hit {
+                    machine.stats.registry_hits += 1;
+                } else {
+                    machine.stats.registry_misses += 1;
+                    machine.stats.plans_computed += 1;
                 }
-                let (res, out) = reg.try_get_or_compile(
-                    &self.mappings[src as usize],
-                    &self.mappings[dst as usize],
-                    self.elem_size,
-                    inject_compile_panic,
-                );
-                machine.stats.registry_evictions += out.evicted;
-                machine.stats.lock_poison_recoveries += out.lock_recoveries;
-                match res {
-                    Ok(planned) => {
-                        if out.hit {
-                            machine.stats.registry_hits += 1;
-                        } else {
-                            machine.stats.registry_misses += 1;
-                            machine.stats.plans_computed += 1;
-                        }
-                        planned
-                    }
-                    Err(_decline) => {
-                        // Contained compile panic: recover with a clean
-                        // solo compile outside any lock and publish it.
-                        let plan = plan_redistribution(
-                            &self.mappings[src as usize],
-                            &self.mappings[dst as usize],
-                            self.elem_size,
-                        );
-                        machine.stats.registry_misses += 1;
-                        machine.stats.plans_computed += 1;
-                        let planned = Arc::new(PlannedRemap::compile(plan));
-                        reg.install(Arc::clone(&planned));
-                        planned
-                    }
-                }
+                planned
             }
-            None => {
-                if inject_compile_panic {
-                    // No registry: contain the injected panic the same
-                    // way (a caught unwind, then a clean compile).
-                    let attempt = std::panic::catch_unwind(|| {
-                        std::panic::panic_any(crate::fault::InjectedPanic)
-                    });
-                    debug_assert!(attempt.is_err());
-                }
-                let plan = plan_redistribution(
-                    &self.mappings[src as usize],
-                    &self.mappings[dst as usize],
-                    self.elem_size,
-                );
+            Err(_decline) => {
+                // Contained compile panic: recover with a clean solo
+                // compile outside any lock and publish it.
+                machine.stats.registry_misses += 1;
                 machine.stats.plans_computed += 1;
-                Arc::new(PlannedRemap::compile(plan))
+                let plan = plan_redistribution(src_map, dst_map, self.elem_size);
+                let planned = Arc::new(PlannedRemap::compile(plan));
+                reg.install(Arc::clone(&planned));
+                planned
             }
         };
         self.plan_cache.insert((src, dst), Arc::clone(&entry));
@@ -255,20 +182,14 @@ impl ArrayRt {
         if self.plan_cache.contains_key(&(src, dst)) {
             return;
         }
-        let canonical = match machine.registry.clone() {
-            Some(reg) => {
-                let (canon, out) = reg.adopt(planned);
-                if out.hit {
-                    machine.stats.registry_hits += 1;
-                } else {
-                    machine.stats.registry_misses += 1;
-                }
-                machine.stats.registry_evictions += out.evicted;
-                machine.stats.lock_poison_recoveries += out.lock_recoveries;
-                canon
-            }
-            None => planned,
-        };
+        let (canonical, out) = machine.registry.adopt(planned);
+        if out.hit {
+            machine.stats.registry_hits += 1;
+        } else {
+            machine.stats.registry_misses += 1;
+        }
+        machine.stats.registry_evictions += out.evicted;
+        machine.stats.lock_poison_recoveries += out.lock_recoveries;
         self.plan_cache.insert((src, dst), canonical);
     }
 
@@ -430,9 +351,7 @@ impl ArrayRt {
                                     crate::fault::poison_program(p);
                                     machine.stats.faults_injected += 1;
                                     let bad = Arc::new(bad);
-                                    if let Some(reg) = &machine.registry {
-                                        reg.install(Arc::clone(&bad));
-                                    }
+                                    machine.registry.install(Arc::clone(&bad));
                                     *entry = bad;
                                 }
                             }
@@ -517,14 +436,12 @@ impl ArrayRt {
                                 let mut healthy = PlannedRemap::clone(entry);
                                 healthy.program = Some(fresh);
                                 let healthy = Arc::new(healthy);
-                                if let Some(reg) = &machine.registry {
-                                    reg.install(Arc::clone(&healthy));
-                                    // Strike one against the pair: a
-                                    // pair that keeps needing repair is
-                                    // quarantined (served table-only).
-                                    if reg.note_repair(&healthy) {
-                                        machine.stats.quarantined_pairs += 1;
-                                    }
+                                machine.registry.install(Arc::clone(&healthy));
+                                // Strike one against the pair: a pair
+                                // that keeps needing repair is
+                                // quarantined (served table-only).
+                                if machine.registry.note_repair(&healthy) {
+                                    machine.stats.quarantined_pairs += 1;
                                 }
                                 *entry = healthy;
                             }
@@ -843,14 +760,7 @@ mod tests {
         assert_eq!(m.stats.plan_cache_hits, 18);
         assert_eq!(m.stats.registry_misses, 2);
         assert_eq!(m.stats.registry_hits, 0);
-        // Same compile-once accounting under both keying schemes; only
-        // where the two entries live differs (concrete shards vs the
-        // symbolic format-pair table).
-        if m.symbolic {
-            assert_eq!((registry.len(), registry.sym_len()), (0, 2));
-        } else {
-            assert_eq!((registry.len(), registry.sym_len()), (2, 0));
-        }
+        assert_eq!(registry.len(), 2);
     }
 
     #[test]

@@ -276,13 +276,13 @@ fn steady_state_remap_allocates_nothing() {
     let registry = std::sync::Arc::new(PlanRegistry::new(4, 64));
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
-    // Concrete keys pinned explicitly — this section measures the
-    // concrete shard path; section 8 measures the symbolic one.
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
-        .with_registry(std::sync::Arc::clone(&registry))
-        .with_symbolic(false);
-    let mut solo_machine = Machine::new(4).with_exec_mode(ExecMode::Serial).without_registry();
+        .with_registry(std::sync::Arc::clone(&registry));
+    // The solo baseline plans into a registry of its own.
+    let mut solo_machine = Machine::new(4)
+        .with_exec_mode(ExecMode::Serial)
+        .with_registry(std::sync::Arc::new(PlanRegistry::new(1, 64)));
     let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
     let mut solo = ArrayRt::new("s", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| (7 * p[0] + 3) as f64);
@@ -318,7 +318,7 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.registry_hits, hits + 20);
     assert_eq!(machine.stats.plans_computed, 2, "compiled once per direction, ever");
     assert_eq!(machine.stats.registry_misses, 2);
-    assert_eq!(solo_machine.stats.plans_computed, 2, "the solo A/B baseline plans itself");
+    assert_eq!(solo_machine.stats.plans_computed, 2, "the solo baseline plans itself");
     // ...and the served artifact moves bytes identically to the solo
     // path.
     for i in 0..n {
@@ -337,7 +337,7 @@ fn steady_state_remap_allocates_nothing() {
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
-        .without_registry()
+        .with_registry(std::sync::Arc::new(PlanRegistry::new(1, 64)))
         .with_validation(hpfc_runtime::ValidationLevel::Counts)
         .with_txn(true);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
@@ -376,7 +376,7 @@ fn steady_state_remap_allocates_nothing() {
     let dst = mk(n, 4, DimFormat::Cyclic(None));
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
-        .without_registry()
+        .with_registry(std::sync::Arc::new(PlanRegistry::new(1, 64)))
         .with_validation(hpfc_runtime::ValidationLevel::Counts)
         .with_txn(true);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
@@ -418,62 +418,4 @@ fn steady_state_remap_allocates_nothing() {
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
     assert_eq!(machine.stats.txn_rollbacks, 0, "the happy path never rolls back");
     assert_eq!(machine.stats.plans_computed, 2, "planned once per direction");
-
-    // --- 8. A SYMBOLIC registry-hit bounce is allocation-free too. ----
-    // Section 5 with `HPFC_SYMBOLIC` keying pinned on: the local view
-    // is evicted before every measured remap, so each takes the full
-    // symbolic flow — probe the concrete tables (miss: under symbolic
-    // keying nothing was ever registered there), reduce both mappings
-    // to their P-free residues (pure stack arithmetic — the field-wise
-    // round-trip check in `normalize_symbolic` builds no mappings),
-    // intern the format pair (a live hit returns the existing Arc),
-    // lock the format-pair table, and serve the cached instantiation
-    // point out of the `SymbolicPlan`'s instance map (an Arc clone).
-    // The one-time costs — materializing the artifact at a new
-    // `(p_src, p_dst, extent)` point — happened in the warm-up, like
-    // the concrete scheme's compiles.
-    let registry = std::sync::Arc::new(PlanRegistry::new(4, 64));
-    let src = mk(n, 4, DimFormat::Block(None));
-    let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
-    let mut machine = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .with_registry(std::sync::Arc::clone(&registry))
-        .with_symbolic(true);
-    let mut rt = ArrayRt::new("a", vec![src, dst], 8);
-    rt.current(&mut machine, 0).fill(|p| p[0] as f64);
-    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    // Warm up: registers both format pairs and materializes their
-    // instantiation points, grows scratch, seeds locals.
-    for _ in 0..2 {
-        rt.remap(&mut machine, 1, &keep, false);
-        rt.set(&[0], 1.0);
-        rt.remap(&mut machine, 0, &keep, false);
-        rt.set(&[1], 1.0);
-    }
-    assert_eq!(
-        (registry.len(), registry.sym_len()),
-        (0, 2),
-        "symbolic keying holds both directions as format pairs"
-    );
-    let hits = machine.stats.registry_hits;
-    for i in 0..10u64 {
-        rt.set(&[0], i as f64); // outside the measured window
-        rt.plan_cache.remove(&(0, 1)); // evict: the symbolic table serves
-        let before = allocations();
-        rt.remap(&mut machine, 1, &keep, false);
-        assert_eq!(allocations(), before, "symbolic-hit remap {i} ->1 allocated");
-        rt.set(&[1], i as f64);
-        rt.plan_cache.remove(&(1, 0));
-        let before = allocations();
-        rt.remap(&mut machine, 0, &keep, false);
-        assert_eq!(allocations(), before, "symbolic-hit remap {i} ->0 allocated");
-    }
-    // Every measured remap was served by the symbolic table: a hit on
-    // the format pair, a cached instantiation point, zero new plans
-    // and zero fresh instantiations.
-    assert_eq!(machine.stats.registry_hits, hits + 20);
-    assert_eq!(machine.stats.plans_computed, 2, "compiled once per format pair, ever");
-    assert_eq!(machine.stats.registry_misses, 2);
-    assert_eq!(machine.stats.symbolic_instantiations, 0, "no new instantiation points");
-    assert_eq!(machine.stats.symbolic_declines, 0, "the shape is symbolic");
 }

@@ -22,12 +22,18 @@ use hpfc_mapping::{
 };
 use hpfc_runtime::{
     plan_redistribution, remap_group, try_remap_group, ArrayRt, ExecError, ExecMode, FaultKind,
-    FaultPlan, GroupMember, Machine, PlannedGroup, PlannedRemap, ValidationLevel,
+    FaultPlan, GroupMember, Machine, PlanRegistry, PlannedGroup, PlannedRemap, ValidationLevel,
 };
 use proptest::prelude::*;
 
 fn mk1d(n: u64, p: u64, fmt: DimFormat) -> NormalizedMapping {
     hpfc_mapping::testing::mapping_1d(n, p, fmt)
+}
+
+/// A registry no other machine shares: a machine given one plans solo,
+/// so nothing another test registered can serve (or count against) it.
+fn private_registry() -> Arc<PlanRegistry> {
+    Arc::new(PlanRegistry::new(1, 64))
 }
 
 /// A fresh array bouncing between BLOCK and CYCLIC(3) over `p` procs,
@@ -73,7 +79,7 @@ fn assert_matches_oracle(rt: &ArrayRt, shadow: &[f64], what: &str) {
 fn corruption_at_full_rate_falls_back_to_tables() {
     let n = 4096u64;
     let mut machine = Machine::new(4)
-        .without_registry()
+        .with_registry(private_registry())
         .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(11, 100, &[FaultKind::CorruptRound]))
         .with_validation(ValidationLevel::Checksums);
@@ -97,7 +103,7 @@ fn corruption_at_full_rate_falls_back_to_tables() {
 fn corruption_at_moderate_rate_heals_by_retry() {
     let n = 4096u64;
     let mut machine = Machine::new(4)
-        .without_registry()
+        .with_registry(private_registry())
         .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(5, 40, &[FaultKind::CorruptRound]))
         .with_validation(ValidationLevel::Checksums);
@@ -116,7 +122,7 @@ fn corruption_at_moderate_rate_heals_by_retry() {
 fn worker_panic_degrades_round_to_serial() {
     let n = 1u64 << 18; // rounds comfortably above PARALLEL_THRESHOLD
     let mut machine = Machine::new(4)
-        .without_registry()
+        .with_registry(private_registry())
         .with_exec_mode(ExecMode::Parallel(4))
         .with_faults(FaultPlan::new(3, 100, &[FaultKind::WorkerPanic]));
     let mut rt = seeded_array(n, 4);
@@ -137,7 +143,7 @@ fn worker_panic_degrades_round_to_serial() {
 fn poisoned_cache_entries_are_recompiled_and_repaired() {
     let n = 4096u64;
     let mut machine = Machine::new(4)
-        .without_registry()
+        .with_registry(private_registry())
         .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(17, 100, &[FaultKind::PoisonProgram]));
     let mut rt = seeded_array(n, 4);
@@ -164,7 +170,7 @@ fn poisoned_cache_entries_are_recompiled_and_repaired() {
 #[test]
 fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
     let n = 4096u64;
-    let registry = Arc::new(hpfc_runtime::PlanRegistry::new(2, 64));
+    let registry = Arc::new(PlanRegistry::new(2, 64));
     let src = mk1d(n, 4, DimFormat::Block(None));
     let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -176,14 +182,7 @@ fn a_poisoned_registry_entry_heals_once_and_never_reaches_a_second_session() {
     let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
     let shadow_a = bounce_and_oracle(&mut ma, &mut a, n, 2);
     assert_eq!(ma.stats.plans_computed, 2, "A planned both directions");
-    // Where the two entries live depends on the keying scheme
-    // (`HPFC_SYMBOLIC`): concrete per-mapping-pair shards, or the
-    // symbolic per-format-pair table. Either way: two entries.
-    if ma.symbolic {
-        assert_eq!((registry.len(), registry.sym_len()), (0, 2));
-    } else {
-        assert_eq!((registry.len(), registry.sym_len()), (2, 0));
-    }
+    assert_eq!(registry.len(), 2);
 
     // One poisoned remap: the corrupt artifact transits the registry
     // (installed so corruption is visible registry-wide, like a real
@@ -231,7 +230,7 @@ fn wire_loss_heals_and_accounts_each_remap_once() {
     );
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
         let mut machine = Machine::new(4)
-            .without_registry()
+            .with_registry(private_registry())
             .with_exec_mode(mode)
             .with_faults(FaultPlan::new(
                 23,
@@ -284,7 +283,7 @@ fn group_remaps_heal_under_chaos() {
         let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
         let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
         let mut machine = Machine::new(4)
-            .without_registry()
+            .with_registry(private_registry())
             .with_exec_mode(ExecMode::Serial)
             .with_faults(faults)
             .with_validation(validation);
@@ -335,7 +334,8 @@ fn group_remaps_heal_under_chaos() {
 fn unrecoverable_paths_return_typed_errors() {
     let n = 256u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    let mut machine = Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial);
+    let mut machine =
+        Machine::new(4).with_registry(private_registry()).with_exec_mode(ExecMode::Serial);
     let mut rt = seeded_array(n, 4);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     // Sabotage: drop the source copy behind the status tag.
@@ -367,31 +367,30 @@ fn unrecoverable_paths_return_typed_errors() {
 /// Injected ladder exhaustion is terminal by design — and transactional:
 /// the typed error surfaces only after the destination version was
 /// rolled back to its exact pre-remap state (bytes, status, live flags,
-/// allocation), under both engines, with and without a shared registry.
+/// allocation), under both engines, with pre-seeded caches and with
+/// plans served by the registry.
 #[test]
 fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
     let n = 4096u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        for use_registry in [false, true] {
+        for seeded in [true, false] {
             // Explicit `with_txn(true)`: this test pins rollback, so it
             // must hold whatever `HPFC_TXN` the suite runs under.
-            let mut machine = Machine::new(4).with_exec_mode(mode).with_txn(true);
-            machine = if use_registry {
-                machine.with_registry(Arc::new(hpfc_runtime::PlanRegistry::new(2, 64)))
+            let mut machine = Machine::new(4)
+                .with_exec_mode(mode)
+                .with_txn(true)
+                .with_registry(private_registry());
+            // Plan through pre-seeded per-array caches, or through the
+            // registry.
+            let mut rt = if seeded {
+                seeded_array(n, 4)
             } else {
-                machine.without_registry()
-            };
-            // With the registry on, plan through it (shared artifacts);
-            // without, through pre-seeded per-array caches.
-            let mut rt = if use_registry {
                 ArrayRt::new(
                     "a",
                     vec![mk1d(n, 4, DimFormat::Block(None)), mk1d(n, 4, DimFormat::Cyclic(Some(3)))],
                     8,
                 )
-            } else {
-                seeded_array(n, 4)
             };
             // Two clean bounces: both versions allocated, v1 stale.
             let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 2);
@@ -403,7 +402,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
             // Preallocated destination: the rollback restores its bytes.
             let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
             assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-            assert_eq!(machine.stats.txn_rollbacks, 1, "({mode:?}, registry={use_registry})");
+            assert_eq!(machine.stats.txn_rollbacks, 1, "({mode:?}, seeded={seeded})");
             assert_eq!(rt.status, pre.0, "status restored");
             assert_eq!(rt.live, pre.1, "live flags restored");
             assert_eq!(rt.copies, pre.2, "destination bytes are byte-identical to pre-remap");
@@ -452,7 +451,8 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
         assert!(prog.runs.is_empty(), "no residual triples for cyclic(1)");
     }
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
-        let mut machine = Machine::new(4).without_registry().with_exec_mode(mode).with_txn(true);
+        let mut machine =
+            Machine::new(4).with_registry(private_registry()).with_exec_mode(mode).with_txn(true);
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.seed_plan(0, 1, Arc::clone(&fwd));
         rt.seed_plan(1, 0, Arc::clone(&back));
@@ -488,8 +488,10 @@ fn transactions_off_leaves_the_partial_write_behind() {
     let n = 4096u64;
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for txn in [true, false] {
-        let mut machine =
-            Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial).with_txn(txn);
+        let mut machine = Machine::new(4)
+            .with_registry(private_registry())
+            .with_exec_mode(ExecMode::Serial)
+            .with_txn(txn);
         let mut rt = seeded_array(n, 4);
         bounce_and_oracle(&mut machine, &mut rt, n, 2);
         // Refresh every element of the current copy so the stale v1
@@ -533,7 +535,7 @@ fn exhaustion_rolls_a_coalesced_group_back_atomically() {
         let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
         let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
         let mut machine =
-            Machine::new(4).without_registry().with_exec_mode(mode).with_txn(true);
+            Machine::new(4).with_registry(private_registry()).with_exec_mode(mode).with_txn(true);
         let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
         a.current(&mut machine, 0).fill(|p| p[0] as f64);
@@ -595,8 +597,10 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
     let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let skip = BTreeSet::new();
-    let mut machine =
-        Machine::new(4).without_registry().with_exec_mode(ExecMode::Serial).with_txn(true);
+    let mut machine = Machine::new(4)
+        .with_registry(private_registry())
+        .with_exec_mode(ExecMode::Serial)
+        .with_txn(true);
     let mut a = seeded_array(n, 4);
     let mut b = seeded_array(n, 4);
     a.current(&mut machine, 0).fill(|p| p[0] as f64);
@@ -641,7 +645,7 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
 #[test]
 fn a_contained_compile_panic_still_heals_to_the_oracle() {
     let n = 4096u64;
-    let registry = Arc::new(hpfc_runtime::PlanRegistry::new(2, 64));
+    let registry = Arc::new(PlanRegistry::new(2, 64));
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
         .with_registry(Arc::clone(&registry))
@@ -671,7 +675,7 @@ fn a_contained_compile_panic_still_heals_to_the_oracle() {
 #[test]
 fn a_quarantined_pair_serves_the_table_engine_in_the_next_session() {
     let n = 4096u64;
-    let registry = Arc::new(hpfc_runtime::PlanRegistry::new(2, 64));
+    let registry = Arc::new(PlanRegistry::new(2, 64));
     let src = mk1d(n, 4, DimFormat::Block(None));
     let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
 
@@ -785,7 +789,7 @@ proptest! {
         let nprocs = src.grid_shape.volume();
         for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
             let mut machine = Machine::new(nprocs)
-                .without_registry()
+                .with_registry(private_registry())
                 .with_exec_mode(mode)
                 .with_txn(true)
                 .with_faults(FaultPlan::all(seed, rate))
@@ -856,7 +860,7 @@ proptest! {
         let dst = realize_mapping(6, 5, grid, dst_cfg);
         let nprocs = src.grid_shape.volume();
         let mut machine = Machine::new(nprocs)
-            .without_registry()
+            .with_registry(private_registry())
             .with_exec_mode(ExecMode::Serial)
             .with_txn(true)
             .with_faults(FaultPlan::new(seed, 100, &[FaultKind::Exhaust]));

@@ -345,6 +345,55 @@ proptest! {
     }
 }
 
+/// Processor counts of the 1-D family grid: small primes, powers of
+/// two and composites.
+const GRID_PS: [u64; 7] = [2, 3, 4, 7, 8, 16, 64];
+
+/// Mixed `(p_src, p_dst)` points: source and destination grids of
+/// different sizes.
+const GRID_MIXED_PS: [(u64, u64); 3] = [(3, 7), (16, 64), (64, 2)];
+
+/// Extent of the 1-D family grid: 2^5 · 3^2 · 7, so every P in
+/// [`GRID_PS`] leaves a different mix of full and ragged blocks.
+const GRID_N: u64 = 2016;
+
+/// The 1-D `(source, destination)` format families of the grid.
+const GRID_FAMILIES: [(DimFormat, DimFormat); 5] = [
+    (DimFormat::Cyclic(None), DimFormat::Cyclic(Some(3))),
+    (DimFormat::Cyclic(Some(3)), DimFormat::Cyclic(None)),
+    (DimFormat::Block(None), DimFormat::Cyclic(Some(5))),
+    (DimFormat::Cyclic(Some(7)), DimFormat::Block(None)),
+    (DimFormat::Cyclic(Some(2)), DimFormat::Cyclic(Some(16))),
+];
+
+/// Every 1-D format family × every processor count (plus the mixed
+/// `p_src != p_dst` points): the directly compiled program, replayed
+/// under both engines, lands every element where the destination
+/// mapping says it lives, with its exact value.
+#[test]
+fn one_d_family_grid_replays_to_the_value_oracle() {
+    let points = GRID_PS.iter().map(|&p| (p, p)).chain(GRID_MIXED_PS);
+    for (p_src, p_dst) in points {
+        for (fs, fd) in GRID_FAMILIES {
+            let ctx = format!("{fs:?}->{fd:?} at P {p_src}->{p_dst}");
+            let src = hpfc_mapping::testing::mapping_1d(GRID_N, p_src, fs);
+            let dst = hpfc_mapping::testing::mapping_1d(GRID_N, p_dst, fd);
+            let plan = plan_redistribution(&src, &dst, 8);
+            let schedule = CommSchedule::from_plan(&plan);
+            let program = CopyProgram::try_compile(&plan, &schedule).expect("1-D plans compile");
+            let mut a = VersionData::new(src, 8);
+            a.fill(|pt| (5 * pt[0] + 1) as f64);
+            for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
+                let mut b = VersionData::new(dst.clone(), 8);
+                b.copy_values_from_program(&a, &program, mode);
+                for (i, got) in b.to_dense().iter().enumerate() {
+                    assert_eq!(*got, (5 * i as u64 + 1) as f64, "{ctx} ({mode:?}): element {i}");
+                }
+            }
+        }
+    }
+}
+
 /// A deterministic sweep used as a regression anchor: BLOCK→CYCLIC over
 /// increasing P moves a growing fraction of the array.
 #[test]

@@ -42,22 +42,8 @@ fn run_session(
     dst: &NormalizedMapping,
     bounces: u32,
 ) -> (NetStats, ArrayRt) {
-    run_session_cfg(registry, src, dst, bounces, hpfc_runtime::symbolic::enabled_from_env())
-}
-
-/// [`run_session`] with the registry keying scheme pinned explicitly
-/// (`true`: symbolic format-pair keys; `false`: concrete mapping-pair
-/// keys) instead of following `HPFC_SYMBOLIC`.
-fn run_session_cfg(
-    registry: &Arc<PlanRegistry>,
-    src: &NormalizedMapping,
-    dst: &NormalizedMapping,
-    bounces: u32,
-    symbolic: bool,
-) -> (NetStats, ArrayRt) {
     let n = src.array_extents.volume();
-    let mut machine =
-        Machine::new(4).with_registry(Arc::clone(registry)).with_symbolic(symbolic);
+    let mut machine = Machine::new(4).with_registry(Arc::clone(registry));
     let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
     rt.current(&mut machine, 0).fill(|p| (3 * p[0] + 11) as f64);
     let mut shadow: Vec<f64> = (0..n).map(|i| (3 * i + 11) as f64).collect();
@@ -119,15 +105,7 @@ fn many_sessions_compile_once_per_distinct_pair() {
     let consultations = (THREADS * SESSIONS * 2) as u64;
     assert_eq!(total.registry_hits, consultations - 2 * PAIRS as u64, "{total:?}");
     assert_eq!(total.registry_evictions, 0, "a generous cap never evicts");
-    // The compile-once books above hold under BOTH keying schemes; only
-    // where the 2×PAIRS entries live differs. The pool's pairs stay
-    // distinct symbolically too: each extent gives `BLOCK` a different
-    // block size and the templates different extents.
-    if hpfc_runtime::symbolic::enabled_from_env() {
-        assert_eq!((registry.len(), registry.sym_len()), (0, 2 * PAIRS));
-    } else {
-        assert_eq!((registry.len(), registry.sym_len()), (2 * PAIRS, 0));
-    }
+    assert_eq!(registry.len(), 2 * PAIRS);
     assert_eq!((registry.hits(), registry.misses()), (total.registry_hits, total.registry_misses));
 }
 
@@ -169,12 +147,7 @@ fn eviction_counters_are_exact_under_a_tiny_cap() {
     for _ in 0..ROUNDS {
         for (src, dst) in &pairs {
             for _ in 0..2 {
-                // Concrete keys pinned explicitly: this test exercises
-                // the concrete shards' LRU machinery, and the symbolic
-                // format-pair table is unbounded by design — under it
-                // the later rounds would be served without ever
-                // touching the eviction path being measured.
-                let (stats, _) = run_session_cfg(&registry, src, dst, 4, false);
+                let (stats, _) = run_session(&registry, src, dst, 4);
                 total.merge(&stats);
             }
             sessions += 1;
