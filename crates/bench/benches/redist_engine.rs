@@ -51,13 +51,11 @@ fn bench_plan_oracle(c: &mut Criterion) {
     g.finish();
 }
 
-/// The copy engines head to head on steady-state movement (destination
-/// preallocated, plan/program precomputed — the cache-hit remap path):
-/// `tables` is the PR-2 descriptor-table engine (positions re-derived
-/// per copy via `count_below`); `program_tK` replays the compiled
-/// `CopyProgram` serially (`t1`) or with K scoped workers per
-/// caterpillar round. BLOCK → CYCLIC(1) is the engine's worst case —
-/// every run degrades to a single element.
+/// Steady-state data movement (destination preallocated,
+/// plan/program precomputed — the cache-hit remap path): `program_tK`
+/// replays the compiled `CopyProgram` serially (`t1`) or with K scoped
+/// workers per caterpillar round. BLOCK → CYCLIC(1) is the engine's
+/// worst case — every run degrades to a single element.
 fn bench_data_movement(c: &mut Criterion) {
     let mut g = c.benchmark_group("redist/data_movement");
     for n in [1024u64, 16384, 262144, 4194304] {
@@ -69,12 +67,6 @@ fn bench_data_movement(c: &mut Criterion) {
         let mut a = VersionData::new(src, 8);
         a.fill(|p| p[0] as f64);
         let mut t = VersionData::new(dst, 8);
-        g.bench_function(BenchmarkId::new("tables", n), |b| {
-            b.iter(|| {
-                t.copy_values_from_plan(&a, &plan);
-                std::hint::black_box(&t);
-            })
-        });
         for threads in [1usize, 2, 4] {
             let mode =
                 if threads == 1 { ExecMode::Serial } else { ExecMode::Parallel(threads) };
@@ -89,14 +81,12 @@ fn bench_data_movement(c: &mut Criterion) {
     g.finish();
 }
 
-/// The kernel-dispatch A/B: stride-encoded run families replayed
-/// through compile-time-chosen kernels vs the same program expanded
-/// back to flat triples (`expand_to_triples`, the pre-encoding
-/// representation). `cyclic(1)` is the adversarial shape for the
-/// triple encoding — one 12-byte triple per element, ~48 MB at
-/// n = 4194304 — which families collapse to O(P_src × P_dst) 24-byte
-/// descriptors. The artifact byte counts are printed next to the
-/// replay times so the shrink is recorded alongside the speed.
+/// Stride-encoded run families replayed through compile-time-chosen
+/// kernels. `cyclic(1)` is the adversarial shape for a flat run
+/// encoding — one run per element — which families collapse to
+/// O(P_src × P_dst) descriptors. The artifact byte count is printed
+/// next to the replay time so its size is recorded alongside the
+/// speed.
 fn bench_kernel_dispatch(c: &mut Criterion) {
     let mut g = c.benchmark_group("redist/kernel_dispatch");
     for n in [16384u64, 262144, 4194304] {
@@ -105,13 +95,7 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
         let plan = plan_redistribution(&src, &dst, 8);
         let schedule = CommSchedule::from_plan(&plan);
         let strided = CopyProgram::try_compile(&plan, &schedule).expect("compiles");
-        let flat = strided.expand_to_triples();
-        eprintln!(
-            "redist/kernel_dispatch n={n}: artifact {} B strided vs {} B triples ({}x)",
-            strided.artifact_bytes(),
-            flat.artifact_bytes(),
-            flat.artifact_bytes() / strided.artifact_bytes().max(1),
-        );
+        eprintln!("redist/kernel_dispatch n={n}: artifact {} B", strided.artifact_bytes());
         let mut a = VersionData::new(src, 8);
         a.fill(|p| p[0] as f64);
         let mut t = VersionData::new(dst, 8);
@@ -121,18 +105,12 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
                 std::hint::black_box(&t);
             })
         });
-        g.bench_function(BenchmarkId::new("triples", n), |b| {
-            b.iter(|| {
-                t.copy_values_from_program(&a, &flat, ExecMode::Serial);
-                std::hint::black_box(&t);
-            })
-        });
     }
     g.finish();
 }
 
 /// The one-time cost the replay path buys its zero-per-copy price
-/// with: compiling a plan + schedule into the flat triple program.
+/// with: compiling a plan + schedule into the copy program.
 /// O(total runs) — the compiled artifact *is* the data movement, so
 /// this scales with the extent, but it is paid once per (src, dst)
 /// version pair and amortized over every later remap.
@@ -167,11 +145,11 @@ fn bench_procs_sweep(c: &mut Criterion) {
 }
 
 /// The plan-caching payoff: a remap loop that bounces an array between
-/// two mappings. `replan_every_iter` pays the ~tens-of-µs closed-form
-/// planning on every bounce (the pre-cache behavior); `cached` goes
-/// through [`ArrayRt`], which memoizes plan + schedule per (src, dst)
-/// version pair — after the first bounce the replan cost disappears and
-/// only the O(n) data movement remains.
+/// two mappings. `replan_every_iter` pays plan + schedule + program
+/// compile on every bounce (`VersionData::copy_values_from`, the
+/// uncached path); `cached` goes through [`ArrayRt`], which memoizes
+/// plan + schedule + program per (src, dst) version pair — after the
+/// first bounce only the O(n) data movement remains.
 fn bench_remap_loop_caching(c: &mut Criterion) {
     let n = 16384u64;
     let mut g = c.benchmark_group("redist/remap_loop");
@@ -183,10 +161,8 @@ fn bench_remap_loop_caching(c: &mut Criterion) {
         a.fill(|p| p[0] as f64);
         let mut t = VersionData::new(dst.clone(), 8);
         b.iter(|| {
-            let plan = plan_redistribution(&src, &dst, 8);
-            t.copy_values_from_plan(&a, &plan);
-            let plan_back = plan_redistribution(&dst, &src, 8);
-            a.copy_values_from_plan(&t, &plan_back);
+            t.copy_values_from(&a);
+            a.copy_values_from(&t);
             std::hint::black_box((&a, &t));
         })
     });
@@ -413,15 +389,13 @@ fn bench_fault_overhead(c: &mut Criterion) {
 }
 
 /// What the transaction costs. `txn_on_default` is the default machine
-/// (`HPFC_TXN=on`, no faults, no validation): the snapshot is armed
-/// only on the guarded path, so this must be indistinguishable from
-/// the plain cached bounce — the transactional machinery is one branch
-/// here. `txn_on_counts` runs guarded AND armed: every bounce captures
-/// a rollback record (destination runs into the machine's reused
-/// scratch arena) and commits it — the true price of all-or-nothing
-/// remaps. `txn_off_counts` is the same guarded bounce with the
-/// transaction disabled, isolating the snapshot cost from the
-/// validation cost.
+/// (no faults, no validation): the snapshot is armed only on the
+/// guarded path, so this must be indistinguishable from the plain
+/// cached bounce — the transactional machinery is one branch here.
+/// `txn_on_counts` runs guarded, so every bounce captures a rollback
+/// record (destination runs into the machine's reused scratch arena)
+/// and commits it. Every guarded remap is transactional, so this is
+/// the configuration of `redist/fault_overhead/counts_on`.
 fn bench_txn_overhead(c: &mut Criterion) {
     use hpfc::runtime::ValidationLevel;
 
@@ -431,8 +405,8 @@ fn bench_txn_overhead(c: &mut Criterion) {
     let dst = mk(n, 16, DimFormat::Cyclic(Some(4)));
     let keep: std::collections::BTreeSet<u32> = [0u32, 1].into_iter().collect();
 
-    let bounce = |txn: bool, validation: ValidationLevel, b: &mut criterion::Bencher| {
-        let mut m = Machine::new(16).with_txn(txn).with_validation(validation);
+    let bounce = |validation: ValidationLevel, b: &mut criterion::Bencher| {
+        let mut m = Machine::new(16).with_validation(validation);
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.current(&mut m, 0).fill(|p| p[0] as f64);
         b.iter(|| {
@@ -444,9 +418,8 @@ fn bench_txn_overhead(c: &mut Criterion) {
         })
     };
 
-    g.bench_function("txn_on_default", |b| bounce(true, ValidationLevel::Off, b));
-    g.bench_function("txn_on_counts", |b| bounce(true, ValidationLevel::Counts, b));
-    g.bench_function("txn_off_counts", |b| bounce(false, ValidationLevel::Counts, b));
+    g.bench_function("txn_on_default", |b| bounce(ValidationLevel::Off, b));
+    g.bench_function("txn_on_counts", |b| bounce(ValidationLevel::Counts, b));
     g.finish();
 }
 

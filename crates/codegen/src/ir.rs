@@ -62,7 +62,7 @@ pub struct ArrayDecl {
 /// let copy = SpmdCopy { src: 0, planned: Arc::new(PlannedRemap::compile(plan)) };
 /// assert_eq!(copy.schedule().messages.len(), 12); // all-to-all minus the diagonal
 /// assert_eq!(copy.schedule().n_rounds(), 3);      // caterpillar: contention-free rounds
-/// let program = copy.planned.program.as_ref().unwrap();
+/// let program = &copy.planned.program;
 /// assert_eq!(program.n_elements(), 16);           // every element delivered once
 /// ```
 #[derive(Debug, Clone)]

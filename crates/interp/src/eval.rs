@@ -6,6 +6,23 @@ use hpfc_lang::ast::{BinOp, Expr, UnOp};
 use hpfc_mapping::ArrayId;
 use hpfc_runtime::ArrayRt;
 
+/// A subscript outside its array's declared bounds `1..=extent`, as
+/// found on the evaluation path. It is `Copy` and carries no string, so
+/// the per-element `Result` of a whole-array statement stays cheap; the
+/// executor names the array when it turns this into
+/// [`hpfc_runtime::ExecError::OutOfBounds`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfBounds {
+    /// The subscripted array.
+    pub array: ArrayId,
+    /// Dimension, 1-based as in the source.
+    pub dim: usize,
+    /// The subscript value, 1-based as in the source.
+    pub index: i64,
+    /// Declared extent of that dimension.
+    pub extent: u64,
+}
+
 /// Evaluation context: scalar bindings, array runtimes, and an optional
 /// current point for whole-array (elementwise) expressions.
 pub struct EvalCtx<'a> {
@@ -21,15 +38,17 @@ pub struct EvalCtx<'a> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// Evaluate an expression to a number.
-    pub fn eval(&self, e: &Expr) -> f64 {
-        match e {
+    /// Evaluate an expression to a number. A computed subscript outside
+    /// its array's bounds is an error, never clamped.
+    pub fn eval(&self, e: &Expr) -> Result<f64, OutOfBounds> {
+        Ok(match e {
             Expr::Int(v, _) => *v as f64,
             Expr::Real(v, _) => *v,
             Expr::Var(n, _) => {
                 if let Some(a) = self.names.get(n) {
                     // Whole-array reference: elementwise value at the
-                    // current point.
+                    // current point (sema admits bare array names only
+                    // in whole-array assignments of the same shape).
                     let p = self
                         .point
                         .unwrap_or_else(|| panic!("whole-array `{n}` outside elementwise context"));
@@ -39,22 +58,15 @@ impl<'a> EvalCtx<'a> {
                 }
             }
             Expr::Ref { name, subs, .. } => {
-                if let Some(a) = self.names.get(name) {
-                    let point: Vec<u64> = subs
-                        .iter()
-                        .map(|s| {
-                            let v = self.eval(s);
-                            // Fortran subscripts are 1-based.
-                            (v as i64 - 1).max(0) as u64
-                        })
-                        .collect();
+                if let Some(&a) = self.names.get(name) {
+                    let point = self.point_of(a, subs)?;
                     self.arrays[a.0 as usize].get(&point)
                 } else {
-                    self.intrinsic(name, subs)
+                    self.intrinsic(name, subs)?
                 }
             }
             Expr::Bin { op, l, r, .. } => {
-                let (a, b) = (self.eval(l), self.eval(r));
+                let (a, b) = (self.eval(l)?, self.eval(r)?);
                 match op {
                     BinOp::Add => a + b,
                     BinOp::Sub => a - b,
@@ -72,15 +84,32 @@ impl<'a> EvalCtx<'a> {
                 }
             }
             Expr::Un { op, e, .. } => match op {
-                UnOp::Neg => -self.eval(e),
-                UnOp::Not => bool_f(self.eval(e) == 0.0),
+                UnOp::Neg => -self.eval(e)?,
+                UnOp::Not => bool_f(self.eval(e)? == 0.0),
             },
-        }
+        })
     }
 
-    fn intrinsic(&self, name: &str, args: &[Expr]) -> f64 {
-        let v: Vec<f64> = args.iter().map(|a| self.eval(a)).collect();
-        match (name, v.as_slice()) {
+    /// The zero-based point of the element `a(subs)`: every 1-based
+    /// subscript is evaluated and checked against the declared extent.
+    pub fn point_of(&self, a: ArrayId, subs: &[Expr]) -> Result<Vec<u64>, OutOfBounds> {
+        let extents = &self.arrays[a.0 as usize].mappings[0].array_extents;
+        subs.iter()
+            .enumerate()
+            .map(|(d, s)| {
+                let index = self.eval(s)? as i64;
+                let extent = extents.extent(d);
+                if index < 1 || index as u64 > extent {
+                    return Err(OutOfBounds { array: a, dim: d + 1, index, extent });
+                }
+                Ok(index as u64 - 1)
+            })
+            .collect()
+    }
+
+    fn intrinsic(&self, name: &str, args: &[Expr]) -> Result<f64, OutOfBounds> {
+        let v = args.iter().map(|a| self.eval(a)).collect::<Result<Vec<f64>, _>>()?;
+        Ok(match (name, v.as_slice()) {
             ("sqrt", [x]) => x.sqrt(),
             ("abs", [x]) => x.abs(),
             ("sin", [x]) => x.sin(),
@@ -91,7 +120,7 @@ impl<'a> EvalCtx<'a> {
             ("min", rest) => rest.iter().copied().fold(f64::INFINITY, f64::min),
             ("max", rest) => rest.iter().copied().fold(f64::NEG_INFINITY, f64::max),
             _ => panic!("unknown intrinsic `{name}`"),
-        }
+        })
     }
 }
 
@@ -122,7 +151,7 @@ mod tests {
             scalars.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         let names = BTreeMap::new();
         let ctx = EvalCtx { scalars: &map, arrays: &[], names: &names, point: None };
-        ctx.eval(&expr_of(src))
+        ctx.eval(&expr_of(src)).expect("no array references")
     }
 
     #[test]

@@ -8,7 +8,7 @@ use hpfc_lang::ast::{Expr, Intent};
 use hpfc_mapping::ArrayId;
 use hpfc_runtime::{ArrayRt, ExecError, Machine, NetStats};
 
-use crate::eval::EvalCtx;
+use crate::eval::{EvalCtx, OutOfBounds};
 
 /// Execution options.
 #[derive(Debug, Clone)]
@@ -88,6 +88,26 @@ struct Frame {
     /// Final dense contents, snapshotted by ExitCleanup before local
     /// copies are freed.
     results: BTreeMap<ArrayId, Vec<f64>>,
+}
+
+impl Frame {
+    /// An evaluation context over this frame, outside any elementwise
+    /// statement.
+    fn ctx(&self) -> EvalCtx<'_> {
+        EvalCtx { scalars: &self.scalars, arrays: &self.arrays, names: &self.names, point: None }
+    }
+
+    /// Evaluate `e`, naming the array of an out-of-bounds subscript.
+    fn eval(&self, e: &Expr) -> Result<f64, ExecError> {
+        self.ctx().eval(e).map_err(|oob| self.bounds_error(oob))
+    }
+
+    /// The typed error of an out-of-bounds subscript.
+    fn bounds_error(&self, oob: OutOfBounds) -> ExecError {
+        let OutOfBounds { array, dim, index, extent } = oob;
+        let array = self.arrays[array.0 as usize].name.clone();
+        ExecError::OutOfBounds { array, dim, index, extent }
+    }
 }
 
 impl<'a> Executor<'a> {
@@ -249,17 +269,10 @@ impl<'a> Executor<'a> {
                                 .array_extents
                                 .clone();
                             let mut values = Vec::with_capacity(extents.volume() as usize);
-                            {
-                                let ctx = EvalCtx {
-                                    scalars: &frame.scalars,
-                                    arrays: &frame.arrays,
-                                    names: &frame.names,
-                                    point: None,
-                                };
-                                for pt in extents.points() {
-                                    let c = EvalCtx { point: Some(&pt), ..ctx };
-                                    values.push(c.eval(rhs));
-                                }
+                            let ctx = frame.ctx();
+                            for pt in extents.points() {
+                                let c = EvalCtx { point: Some(&pt), ..ctx };
+                                values.push(c.eval(rhs).map_err(|oob| frame.bounds_error(oob))?);
                             }
                             let rt = &mut frame.arrays[a.0 as usize];
                             rt.invalidate_others();
@@ -269,33 +282,16 @@ impl<'a> Executor<'a> {
                                 copy.set(&pt, values[i]);
                             }
                         } else {
-                            let (point, value) = {
-                                let ctx = EvalCtx {
-                                    scalars: &frame.scalars,
-                                    arrays: &frame.arrays,
-                                    names: &frame.names,
-                                    point: None,
-                                };
-                                let point: Vec<u64> = lhs
-                                    .subs
-                                    .iter()
-                                    .map(|e| (ctx.eval(e) as i64 - 1).max(0) as u64)
-                                    .collect();
-                                (point, ctx.eval(rhs))
-                            };
+                            let point = frame
+                                .ctx()
+                                .point_of(a, &lhs.subs)
+                                .map_err(|oob| frame.bounds_error(oob))?;
+                            let value = frame.eval(rhs)?;
                             frame.arrays[a.0 as usize].set(&point, value);
                         }
                     }
                     None => {
-                        let value = {
-                            let ctx = EvalCtx {
-                                scalars: &frame.scalars,
-                                arrays: &frame.arrays,
-                                names: &frame.names,
-                                point: None,
-                            };
-                            ctx.eval(rhs)
-                        };
+                        let value = frame.eval(rhs)?;
                         frame.scalars.insert(lhs.name.clone(), value);
                     }
                 }
@@ -303,16 +299,7 @@ impl<'a> Executor<'a> {
             }
             SStmt::If { cond, then_body, else_body } => {
                 self.ensure_refs(frame, cond, &[]);
-                let c = {
-                    let ctx = EvalCtx {
-                        scalars: &frame.scalars,
-                        arrays: &frame.arrays,
-                        names: &frame.names,
-                        point: None,
-                    };
-                    ctx.eval(cond)
-                };
-                if c != 0.0 {
+                if frame.eval(cond)? != 0.0 {
                     self.exec_body(p, frame, then_body, depth)
                 } else {
                     self.exec_body(p, frame, else_body, depth)
@@ -321,14 +308,10 @@ impl<'a> Executor<'a> {
             SStmt::Do { var, lo, hi, step, body } => {
                 self.ensure_refs(frame, lo, &[]);
                 self.ensure_refs(frame, hi, &[]);
-                let (lo_v, hi_v, step_v) = {
-                    let ctx = EvalCtx {
-                        scalars: &frame.scalars,
-                        arrays: &frame.arrays,
-                        names: &frame.names,
-                        point: None,
-                    };
-                    (ctx.eval(lo), ctx.eval(hi), step.as_ref().map(|e| ctx.eval(e)).unwrap_or(1.0))
+                let (lo_v, hi_v) = (frame.eval(lo)?, frame.eval(hi)?);
+                let step_v = match step {
+                    Some(e) => frame.eval(e)?,
+                    None => 1.0,
                 };
                 if step_v == 0.0 {
                     return Err(ExecError::Interp {
@@ -517,16 +500,7 @@ impl<'a> Executor<'a> {
                         }
                     }
                     None => {
-                        let v = {
-                            let ctx = EvalCtx {
-                                scalars: &frame.scalars,
-                                arrays: &frame.arrays,
-                                names: &frame.names,
-                                point: None,
-                            };
-                            ctx.eval(actual)
-                        };
-                        scalars.insert(pname.clone(), v);
+                        scalars.insert(pname.clone(), frame.eval(actual)?);
                     }
                 }
             }

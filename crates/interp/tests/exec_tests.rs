@@ -512,3 +512,54 @@ fn bad_intrinsic_arity_and_constant_subscripts_end_in_diagnostics() {
         assert!(errs.iter().any(|e| e.code == code), "{stmt}: {errs:?}");
     }
 }
+
+#[test]
+fn whole_array_references_in_scalar_context_end_in_diagnostics() {
+    // `x = a` and `do i = 1, a` used to pass sema and then panic inside
+    // execution; they must now end in a typed diagnostic.
+    for stmt in ["x = a", "do i = 1, a\nenddo"] {
+        let src = format!(
+            "subroutine s\nreal :: a(16)\n!hpf$ processors p(4)\n\
+             !hpf$ distribute a(block) onto p\na = 1.0\n{stmt}\nend"
+        );
+        let errs = compile_and_run(&src, &CompileOptions::default(), ExecConfig::default())
+            .map(|_| ())
+            .expect_err(stmt);
+        assert!(
+            errs.iter().any(|e| e.code == hpfc::lang::diag::codes::WHOLE_ARRAY),
+            "{stmt}: {errs:?}"
+        );
+    }
+}
+
+#[test]
+fn computed_subscripts_out_of_range_are_typed_errors() {
+    use hpfc::runtime::ExecError;
+    // Computed subscripts pass sema; at run time a read or a write
+    // outside 1:16 is an `OutOfBounds` error — never clamped onto
+    // `a(1)`, never a panic.
+    let exec = |k: i64, stmt: &str| {
+        let src = format!(
+            "subroutine s\nreal :: a(16)\n!hpf$ processors p(4)\n\
+             !hpf$ distribute a(block) onto p\na = 1.0\nk = {k}\n{stmt}\nend"
+        );
+        let compiled = hpfc::compile(&src, &CompileOptions::default()).expect("compiles");
+        hpfc::execute(&compiled.programs(), "s", ExecConfig::default())
+    };
+    for k in [0i64, -3, 17] {
+        for stmt in ["a(k) = 5.0", "x = a(k)"] {
+            let err = exec(k, stmt).map(|_| ()).expect_err(stmt);
+            assert_eq!(
+                err,
+                ExecError::OutOfBounds { array: "a".into(), dim: 1, index: k, extent: 16 },
+                "{stmt} with k = {k}"
+            );
+        }
+    }
+    // The bounds themselves are in range.
+    for k in [1i64, 16] {
+        let r = exec(k, "a(k) = 5.0\nx = a(k)").expect("in range");
+        assert_eq!(r.scalars["x"], 5.0);
+        assert_eq!(r.arrays["a"].iter().filter(|&&v| v == 5.0).count(), 1, "k = {k}");
+    }
+}

@@ -73,6 +73,12 @@ pub mod codes {
     /// Array reference whose subscripts do not fit the declaration:
     /// wrong subscript count, or a constant outside the declared bounds.
     pub const BAD_SUBSCRIPT: &str = "E017";
+    /// A whole-array reference (a bare array name) where it has no
+    /// meaning: in a scalar context (a condition, a loop bound, a
+    /// subscript, an element or scalar assignment, a scalar call
+    /// argument), or as an operand of a whole-array assignment of a
+    /// different shape.
+    pub const WHOLE_ARRAY: &str = "E018";
     /// Reference with an ambiguous mapping (paper restriction 1,
     /// Fig. 5).
     pub const AMBIGUOUS_REF: &str = "E020";

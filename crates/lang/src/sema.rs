@@ -601,12 +601,18 @@ impl Analyzer {
                         self.check_subscripts(*a, &lhs.name, &lhs.subs, lhs.span);
                     }
                     for e in &lhs.subs {
-                        self.check_expr(e);
+                        self.check_expr(e, None);
                     }
-                    self.check_expr(rhs);
+                    // A whole-array assignment evaluates its right-hand
+                    // side elementwise: bare array names are operands.
+                    let whole = match self.symbols.get(&lhs.name) {
+                        Some(Symbol::Array(a)) if lhs.subs.is_empty() => Some(*a),
+                        _ => None,
+                    };
+                    self.check_expr(rhs, whole);
                 }
                 Stmt::If { cond, then_body, else_body, .. } => {
-                    self.check_expr(cond);
+                    self.check_expr(cond, None);
                     self.walk_body(then_body, callees);
                     self.walk_body(else_body, callees);
                 }
@@ -614,10 +620,10 @@ impl Analyzer {
                     if !self.symbols.contains_key(var) {
                         self.symbols.insert(var.clone(), Symbol::Scalar(implicit_type(var)));
                     }
-                    self.check_expr(lo);
-                    self.check_expr(hi);
+                    self.check_expr(lo, None);
+                    self.check_expr(hi, None);
                     if let Some(e) = step {
-                        self.check_expr(e);
+                        self.check_expr(e, None);
                     }
                     self.walk_body(body, callees);
                 }
@@ -649,7 +655,12 @@ impl Analyzer {
                         }
                     }
                     for e in args {
-                        self.check_expr(e);
+                        match e {
+                            // A bare name is passed whole; `check_arg`
+                            // matched it against the dummy's kind.
+                            Expr::Var(name, span) => self.check_ref(name, false, *span),
+                            _ => self.check_expr(e, None),
+                        }
                     }
                 }
                 Stmt::Directive(d) => self.check_exec_directive(d),
@@ -698,6 +709,15 @@ impl Analyzer {
                         dummy.name
                     ),
                 ),
+            }
+        } else if let Expr::Var(n, _) = actual {
+            // Scalar dummy: a bare array name has no scalar value.
+            if matches!(self.symbols.get(n), Some(Symbol::Array(_))) {
+                let msg = format!(
+                    "dummy `{}` of `{callee}` is a scalar; actual `{n}` is an array",
+                    dummy.name
+                );
+                self.err(codes::WHOLE_ARRAY, span, msg);
             }
         }
     }
@@ -777,10 +797,32 @@ impl Analyzer {
     /// Resolve every name in `e` (unknown scalars are declared
     /// implicitly) and check that every `name(args)` is an array
     /// element whose subscripts fit the declaration or an intrinsic
-    /// call with the right number of arguments.
-    fn check_expr(&mut self, e: &Expr) {
+    /// call with the right number of arguments. A bare array name is
+    /// an operand only inside the right-hand side of a whole-array
+    /// assignment to `whole`, and only with `whole`'s shape; anywhere
+    /// else a scalar is expected.
+    fn check_expr(&mut self, e: &Expr, whole: Option<ArrayId>) {
         match e {
-            Expr::Var(name, span) => self.check_ref(name, false, *span),
+            Expr::Var(name, span) => {
+                self.check_ref(name, false, *span);
+                if let Some(Symbol::Array(b)) = self.symbols.get(name) {
+                    let have = &self.env.array(*b).extents;
+                    let problem = match whole.map(|a| self.env.array(a)) {
+                        None => Some(format!(
+                            "whole array `{name}` used where a scalar is expected \
+                             (reference an element `{name}(...)`)"
+                        )),
+                        Some(lhs) if &lhs.extents != have => Some(format!(
+                            "`{name}` has shape {have} but the assignment to `{}` has shape {}",
+                            lhs.name, lhs.extents
+                        )),
+                        Some(_) => None,
+                    };
+                    if let Some(msg) = problem {
+                        self.err(codes::WHOLE_ARRAY, *span, msg);
+                    }
+                }
+            }
             Expr::Ref { name, subs, span } => {
                 match self.symbols.get(name) {
                     Some(Symbol::Array(a)) => self.check_subscripts(*a, name, subs, *span),
@@ -805,14 +847,14 @@ impl Analyzer {
                     },
                 }
                 for s in subs {
-                    self.check_expr(s);
+                    self.check_expr(s, whole);
                 }
             }
             Expr::Bin { l, r, .. } => {
-                self.check_expr(l);
-                self.check_expr(r);
+                self.check_expr(l, whole);
+                self.check_expr(r, whole);
             }
-            Expr::Un { e, .. } => self.check_expr(e),
+            Expr::Un { e, .. } => self.check_expr(e, whole),
             Expr::Int(..) | Expr::Real(..) => {}
         }
     }

@@ -205,15 +205,28 @@ fn malformed_element_references_and_intrinsic_calls_are_rejected() {
         ("x = a(17)", codes::BAD_SUBSCRIPT),
         ("x = sqrt(a(0))", codes::BAD_SUBSCRIPT),
         ("a(1, 2) = 5.0", codes::BAD_SUBSCRIPT),
+        ("x = a", codes::WHOLE_ARRAY),
+        ("do i = 1, a\nenddo", codes::WHOLE_ARRAY),
+        ("if (a > 1.0) then\nx = 1.0\nendif", codes::WHOLE_ARRAY),
+        ("a(1) = a + 1.0", codes::WHOLE_ARRAY),
+        ("x = a(a)", codes::WHOLE_ARRAY),
+        ("a = c", codes::WHOLE_ARRAY),
     ] {
-        let src = format!("subroutine s\nreal :: a(16)\n{stmt}\nend");
+        let src = format!("subroutine s\nreal :: a(16), c(4)\n{stmt}\nend");
         let errs = frontend(&src).unwrap_err();
         assert!(errs.iter().any(|e| e.code == code), "{stmt}: {errs:?}");
     }
-    // Right arities, the declared bounds themselves, and computed
-    // subscripts (not checked statically) are accepted.
-    let src = "subroutine s\nreal :: a(16)\n\
+    // Right arities, the declared bounds themselves, computed
+    // subscripts (checked at run time), and whole arrays of the
+    // assigned shape inside a whole-array assignment are accepted.
+    let src = "subroutine s\nreal :: a(16), b(16)\n\
                x = sqrt(4.0) + mod(5.0, 2.0) + max(1.0, 2.0, 3.0) + min(a(1))\n\
-               a(1) = 1.0\na(16) = a(2*8)\ndo i = 1, 17\na(i) = 0.0\nenddo\nend";
+               a(1) = 1.0\na(16) = a(2*8)\ndo i = 1, 17\na(i) = 0.0\nenddo\n\
+               a = sqrt(b) + a * 2.0\nend";
     frontend(src).expect("well-formed references pass");
+    // A whole array passed to a scalar dummy has no scalar value.
+    let src = "subroutine s\nreal :: a(16)\ninterface\nsubroutine f(x)\nreal :: x\n\
+               end subroutine\nend interface\ncall f(a)\nend";
+    let errs = frontend(src).unwrap_err();
+    assert!(errs.iter().any(|e| e.code == codes::WHOLE_ARRAY), "{errs:?}");
 }

@@ -6,27 +6,27 @@
 //! ever after, optionally with the caterpillar rounds executed across
 //! `std::thread::scope` workers.
 //!
-//! # Before / after
+//! # The one copy engine
 //!
-//! The block-level engine of [`crate::VersionData::copy_values_from`]
-//! already moves whole `copy_from_slice` runs, but it re-derives the
-//! *positions* of those runs on every copy: per copy it rebuilds the
-//! side-assembly tables, re-materializes every `(dimension, entry)` run
-//! vector, and calls [`PeriodicSet::count_below`] twice per run — a
-//! handful of divisions per copied run, plus `O(runs)` fresh heap
-//! allocations, on the hot path of every remap bounce. A
-//! [`CopyProgram`] does all of that exactly once, when the plan enters
-//! the per-array cache:
+//! Every data movement in the runtime — a cached remap, a group remap,
+//! a recovery recompile, and the uncached
+//! [`crate::VersionData::copy_values_from`] — goes through a
+//! [`CopyProgram`]. The positions of the copied runs are derived from
+//! the plan's periodic descriptors ([`PeriodicSet::count_below`], a
+//! handful of divisions per run) exactly once, when the program is
+//! compiled:
 //!
 //! * **compile** ([`CopyProgram::try_compile`], `O(total runs)`, once
-//!   per (source, destination) version pair): walk the same descriptor
-//!   odometer the table engine walks, but *record* each run's closed-form
-//!   local positions instead of copying — producing one flat
-//!   [`CopyRun`] list, grouped into per-(provider, receiver)
-//!   [`CopyUnit`]s;
+//!   per (source, destination) version pair): walk the planner's
+//!   descriptor odometer and *record* each run's closed-form local
+//!   positions — producing one flat [`CopyRun`] list, grouped into
+//!   per-(provider, receiver) [`CopyUnit`]s. Compilation is total for
+//!   every closed-form plan: rank-0 scalars become one single-element
+//!   unit per replica, and positions are `u64`, so no block is too
+//!   large;
 //! * **replay** ([`crate::VersionData::copy_values_from_program`],
 //!   every later copy): a loop of
-//!   `copy_from_slice` over the precompiled triples. No positions are
+//!   `copy_from_slice` over the precompiled runs. No positions are
 //!   recomputed, nothing is allocated — the steady-state remap path
 //!   performs zero heap allocations (pinned by the counting-allocator
 //!   test `alloc_free.rs`).
@@ -111,42 +111,40 @@ impl ExecMode {
 
 /// One precompiled contiguous copy: `len` elements from local position
 /// `src_pos` of the provider's block to local position `dst_pos` of the
-/// receiver's block. Positions are `u32` deliberately — half the memory
-/// and twice the cache density of `usize` triples; blocks larger than
-/// `u32::MAX` elements make [`CopyProgram::try_compile`] decline (the
-/// table engine then serves as the fallback).
+/// receiver's block. Positions are `u64`, so every block a mapping can
+/// describe compiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopyRun {
     /// Element offset in the provider's local data.
-    pub src_pos: u32,
+    pub src_pos: u64,
     /// Element offset in the receiver's local data.
-    pub dst_pos: u32,
+    pub dst_pos: u64,
     /// Run length in elements.
-    pub len: u32,
+    pub len: u64,
 }
 
 /// A stride-encoded family of copy runs: `count` runs of `len`
 /// elements each, whose `(src_pos, dst_pos)` pairs form an arithmetic
 /// progression starting at `(src_base, dst_base)` with per-run steps
-/// `(src_step, dst_step)`. One 24-byte descriptor replaces `count`
-/// 12-byte triples — for a cyclic(1) destination (one triple per
-/// *element* in the flat encoding) the whole (provider, receiver) pair
-/// collapses to a single family, shrinking the n=4M artifact from
-/// O(n) triples to O(P_src × P_dst) descriptors.
+/// `(src_step, dst_step)`. One descriptor replaces `count` flat
+/// [`CopyRun`]s — for a cyclic(1) destination (one run per *element*)
+/// the whole (provider, receiver) pair collapses to a single family,
+/// shrinking the n=4M artifact from O(n) runs to O(P_src × P_dst)
+/// descriptors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrideFamily {
     /// Element offset of the first run in the provider's local data.
-    pub src_base: u32,
+    pub src_base: u64,
     /// Element offset of the first run in the receiver's local data.
-    pub dst_base: u32,
+    pub dst_base: u64,
     /// Number of runs in the family (≥ `MIN_FAMILY`).
-    pub count: u32,
+    pub count: u64,
     /// Source offset advance between consecutive runs.
-    pub src_step: u32,
+    pub src_step: u64,
     /// Destination offset advance between consecutive runs.
-    pub dst_step: u32,
+    pub dst_step: u64,
     /// Length of every run in the family, in elements.
-    pub len: u32,
+    pub len: u64,
 }
 
 /// Which replay loop a [`CopyUnit`] dispatches to — chosen once at
@@ -163,9 +161,9 @@ pub enum Kernel {
     /// Families only, general run length: a blocked strided loop of
     /// `copy_from_slice` per run.
     Strided,
-    /// Residual triples only (or an empty unit): the flat triple loop.
-    Triples,
-    /// Both families and residual triples: strided loop then triples.
+    /// Everything else — residual runs with or without families (or an
+    /// empty unit): the strided loop over the families, then the flat
+    /// run loop.
     Mixed,
 }
 
@@ -183,9 +181,9 @@ pub struct CopyUnit {
     /// Rank whose *destination-version* block is written.
     pub receiver: u64,
     /// Half-open range into the program's stride-family list.
-    pub fams: (u32, u32),
+    pub fams: (usize, usize),
     /// Half-open range into the program's residual flat run list.
-    pub runs: (u32, u32),
+    pub runs: (usize, usize),
     /// Replay kernel chosen at compile time for this unit's shape.
     pub kernel: Kernel,
     /// Total elements this unit moves (the load-balancing weight).
@@ -231,25 +229,18 @@ pub struct CopyProgram {
     pub fingerprint: u64,
 }
 
-/// Why [`CopyProgram::compile_checked`] declined to compile a plan —
-/// the former silent `None` reasons, promoted to a typed result so the
-/// fallback decision is auditable.
+/// Why a plan did not become a [`CopyProgram`]
+/// ([`CopyProgram::compile_checked`] and the registry's contained
+/// compile).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompileDecline {
     /// The plan carries no per-dimension descriptors (e.g. one built by
     /// [`crate::plan_by_enumeration`]) or no mapping pair.
     NoDescriptors,
-    /// Rank-0 scalar: the replica walk of the table engine is cheaper
-    /// than a compiled program.
-    Rank0,
-    /// Some local position or run index overflows `u32` (blocks beyond
-    /// 4 Gi elements); the table engine's `u64` arithmetic is the
-    /// fallback.
-    PositionOverflow,
     /// The plan → schedule → program compile panicked and was caught
     /// (`catch_unwind` around the registry's compile-under-lock), so
     /// the shard lock stays healthy and the caller retries a clean solo
-    /// compile or falls back to the table engine.
+    /// compile.
     Panicked,
 }
 
@@ -257,8 +248,6 @@ impl std::fmt::Display for CompileDecline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CompileDecline::NoDescriptors => write!(f, "plan carries no descriptors"),
-            CompileDecline::Rank0 => write!(f, "rank-0 scalar"),
-            CompileDecline::PositionOverflow => write!(f, "local position overflows u32"),
             CompileDecline::Panicked => write!(f, "plan compilation panicked (contained)"),
         }
     }
@@ -269,7 +258,7 @@ impl CopyProgram {
     /// plus the residual triples — the same logical copy count the
     /// pre-stride flat encoding stored (modulo contiguous coalescing).
     pub fn n_runs(&self) -> u64 {
-        self.fams.iter().map(|f| f.count as u64).sum::<u64>() + self.runs.len() as u64
+        self.fams.iter().map(|f| f.count).sum::<u64>() + self.runs.len() as u64
     }
 
     /// Bytes the compiled artifact's run encoding occupies — the
@@ -290,20 +279,17 @@ impl CopyProgram {
 
     /// Compile the plan's descriptor tables into an executable program.
     ///
-    /// Returns `None` when the plan cannot drive a compiled program:
-    /// it carries no descriptors (the enumeration oracle), it is a
-    /// rank-0 scalar (the replica walk is cheaper than a program), or
-    /// some local position overflows `u32` (blocks beyond 4 Gi
-    /// elements). Callers fall back to the table engine
-    /// ([`crate::VersionData::copy_values_from_plan`]). The typed
-    /// reason is available from [`CopyProgram::compile_checked`].
+    /// Total for every closed-form plan ([`crate::plan_redistribution`]),
+    /// rank-0 scalars and arbitrarily large blocks included. Returns
+    /// `None` only for a plan without descriptors (the enumeration
+    /// oracle [`crate::plan_by_enumeration`]); the typed reason is
+    /// available from [`CopyProgram::compile_checked`].
     pub fn try_compile(plan: &RedistPlan, schedule: &CommSchedule) -> Option<CopyProgram> {
         CopyProgram::compile_checked(plan, schedule).ok()
     }
 
     /// [`CopyProgram::try_compile`] with the decline reason made
-    /// explicit — the rank-0 / `u32`-overflow / no-descriptor debug
-    /// assumptions promoted into a typed result.
+    /// explicit.
     pub fn compile_checked(
         plan: &RedistPlan,
         schedule: &CommSchedule,
@@ -337,9 +323,6 @@ impl CopyProgram {
     ) -> Result<CopyProgram, CompileDecline> {
         let (src, dst) = plan.mappings.as_deref().ok_or(CompileDecline::NoDescriptors)?;
         let rank = src.array_extents.rank();
-        if rank == 0 {
-            return Err(CompileDecline::Rank0);
-        }
         if plan.dims.len() != rank {
             return Err(CompileDecline::NoDescriptors);
         }
@@ -368,110 +351,49 @@ impl CopyProgram {
         // Message (from, to) -> caterpillar round, from the schedule.
         let round_of: BTreeMap<(u64, u64), usize> = schedule.round_of_pairs().collect();
 
-        // Per entry, the local extent of the owning block along that
-        // dimension on each side (`|src_set|` / `|dst_set|` — identical
-        // to the block dim-list lengths the storage layer allocates).
-        let s_lens: Vec<Vec<u64>> =
-            per_dim.iter().map(|es| es.iter().map(|e| e.src_set.count()).collect()).collect();
-        let d_lens: Vec<Vec<u64>> =
-            per_dim.iter().map(|es| es.iter().map(|e| e.dst_set.count()).collect()).collect();
-
-        // Decline closed-form BEFORE materializing any intersection
-        // run: every recorded position is a prefix count into one
-        // rank's local block, bounded by that rank's per-dim count
-        // product — so when any side's largest local volume exceeds
-        // the u32 triple format, some position must overflow, and the
-        // program is refused in O(descriptor entries) instead of after
-        // enumerating gigabytes of runs. This pre-check, the per-push
-        // backstop in `record_combination`, the unit-range assembly,
-        // and the stride-family counts all funnel through the single
-        // [`fit_u32`] gate, so every >4Gi shape declines via the same
-        // `CompileDecline::PositionOverflow` path.
-        let max_local = |lens: &[Vec<u64>]| {
-            lens.iter()
-                .map(|ls| ls.iter().copied().max().unwrap_or(0))
-                .fold(1u64, u64::saturating_mul)
-        };
-        fit_u32(max_local(&s_lens))?;
-        fit_u32(max_local(&d_lens))?;
-
-        // Materialize every entry's intersection runs.
-        let n_of = |d: usize| src.array_extents.extent(d);
-        let entry_runs: Vec<Vec<Vec<(u64, u64)>>> = per_dim
-            .iter()
-            .enumerate()
-            .map(|(d, entries)| {
-                entries
-                    .iter()
-                    .map(|e| intersect_runs(&e.src_set, &e.dst_set, 0, n_of(d)).collect())
-                    .collect()
-            })
-            .collect();
-
         // Accumulate runs per (provider, receiver) pair — the planner's
         // shared combination walk (rank assembly, replica fan-out,
-        // receiver self-preference live there exactly once), with the
-        // copy replaced by position recording.
+        // receiver self-preference live there exactly once), recording
+        // positions. A rank-0 scalar walks one combination per
+        // destination replica. Each visited entry's intersection runs
+        // are derived into reused per-dimension buffers.
+        let n_of = |d: usize| src.array_extents.extent(d);
         let mut acc: BTreeMap<(u64, u64), Vec<CopyRun>> = BTreeMap::new();
-        let mut runs_ref: Vec<&[(u64, u64)]> = vec![&[]; rank];
+        let mut runs_by_dim: Vec<Vec<(u64, u64)>> = vec![Vec::new(); rank];
         let mut entries_ref: Vec<&DimContribution> = Vec::with_capacity(rank);
-        let mut s_len = vec![0u64; rank];
-        let mut d_len = vec![0u64; rank];
-        let mut fits_u32 = true;
         crate::redist::for_each_pair_combination(src, dst, per_dim, |provider, to, idx| {
-            if !fits_u32 {
-                return;
-            }
             entries_ref.clear();
-            for d in 0..rank {
-                entries_ref.push(&per_dim[d][idx[d]]);
-                runs_ref[d] = &entry_runs[d][idx[d]];
-                s_len[d] = s_lens[d][idx[d]];
-                d_len[d] = d_lens[d][idx[d]];
+            for (d, runs) in runs_by_dim.iter_mut().enumerate() {
+                let e = &per_dim[d][idx[d]];
+                entries_ref.push(e);
+                runs.clear();
+                runs.extend(intersect_runs(&e.src_set, &e.dst_set, 0, n_of(d)));
             }
-            if record_combination(
-                &runs_ref,
-                &entries_ref,
-                &s_len,
-                &d_len,
-                acc.entry((provider, to)).or_default(),
-            )
-            .is_none()
-            {
-                fits_u32 = false;
-            }
+            record_combination(&runs_by_dim, &entries_ref, acc.entry((provider, to)).or_default());
         });
-        if !fits_u32 {
-            return Err(CompileDecline::PositionOverflow);
-        }
 
-        // Assemble: stride-encode each (provider, receiver) pair's
-        // triples into families plus an irregular residual, and
-        // partition units into the local group and the schedule's
-        // rounds. BTreeMap iteration gives (provider, receiver) order;
-        // re-sorting each group by receiver keeps the parallel
-        // executor's block walk a single pass.
+        // Assemble: stride-encode each (provider, receiver) pair's runs
+        // into families plus an irregular residual, and partition units
+        // into the local group and the schedule's rounds. BTreeMap
+        // iteration gives (provider, receiver) order; re-sorting each
+        // group by receiver keeps the parallel executor's block walk a
+        // single pass.
         let mut fams = Vec::new();
         let mut runs = Vec::new();
         let mut local = Vec::new();
         let mut rounds: Vec<Vec<CopyUnit>> = vec![Vec::new(); schedule.rounds.len()];
         let mut total_elements = 0u64;
-        for ((provider, receiver), rs) in acc {
-            let f_start = fit_u32(fams.len() as u64)?;
-            let r_start = fit_u32(runs.len() as u64)?;
-            let elements: u64 = rs.iter().map(|r| r.len as u64).sum();
-            encode_runs(rs, &mut fams, &mut runs)?;
-            let f_end = fit_u32(fams.len() as u64)?;
-            let r_end = fit_u32(runs.len() as u64)?;
+        for ((provider, receiver), mut rs) in acc {
+            let (f_start, r_start) = (fams.len(), runs.len());
+            let elements: u64 = rs.iter().map(|r| r.len).sum();
+            encode_runs(&mut rs, &mut fams, &mut runs);
             total_elements += elements;
-            let kernel =
-                choose_kernel(&fams[f_start as usize..], &runs[r_start as usize..]);
             let unit = CopyUnit {
                 provider,
                 receiver,
-                fams: (f_start, f_end),
-                runs: (r_start, r_end),
-                kernel,
+                fams: (f_start, fams.len()),
+                runs: (r_start, runs.len()),
+                kernel: choose_kernel(&fams[f_start..], &runs[r_start..]),
                 elements,
             };
             if provider == receiver {
@@ -496,53 +418,6 @@ impl CopyProgram {
         );
         let fingerprint = program_fingerprint(&fams, &runs, &local, &rounds, total_elements);
         Ok(CopyProgram { mappings, fams, runs, local, rounds, total_elements, fingerprint })
-    }
-
-    /// Expand the stride families back into flat triples — the
-    /// pre-stride encoding, kept as the A/B baseline for the
-    /// `redist/kernel_dispatch` bench and the encoder's equivalence
-    /// tests. Every unit's kernel becomes [`Kernel::Triples`]; the
-    /// replayed bytes are identical by construction.
-    #[doc(hidden)]
-    pub fn expand_to_triples(&self) -> CopyProgram {
-        fn expand_unit(p: &CopyProgram, u: &CopyUnit, runs: &mut Vec<CopyRun>) -> CopyUnit {
-            let start = runs.len() as u32;
-            for f in &p.fams[u.fams.0 as usize..u.fams.1 as usize] {
-                let (mut s, mut d) = (f.src_base as u64, f.dst_base as u64);
-                for _ in 0..f.count {
-                    runs.push(CopyRun { src_pos: s as u32, dst_pos: d as u32, len: f.len });
-                    s += f.src_step as u64;
-                    d += f.dst_step as u64;
-                }
-            }
-            runs.extend_from_slice(&p.runs[u.runs.0 as usize..u.runs.1 as usize]);
-            CopyUnit {
-                provider: u.provider,
-                receiver: u.receiver,
-                fams: (0, 0),
-                runs: (start, runs.len() as u32),
-                kernel: Kernel::Triples,
-                elements: u.elements,
-            }
-        }
-        let mut runs = Vec::with_capacity(self.n_runs() as usize);
-        let local: Vec<CopyUnit> =
-            self.local.iter().map(|u| expand_unit(self, u, &mut runs)).collect();
-        let rounds: Vec<Vec<CopyUnit>> = self
-            .rounds
-            .iter()
-            .map(|r| r.iter().map(|u| expand_unit(self, u, &mut runs)).collect())
-            .collect();
-        let fingerprint = program_fingerprint(&[], &runs, &local, &rounds, self.total_elements);
-        CopyProgram {
-            mappings: std::sync::Arc::clone(&self.mappings),
-            fams: Vec::new(),
-            runs,
-            local,
-            rounds,
-            total_elements: self.total_elements,
-            fingerprint,
-        }
     }
 
     /// Whether this program was compiled for exactly the
@@ -696,16 +571,23 @@ pub struct GroupCopyProgram {
 
 impl GroupCopyProgram {
     /// Compile every member plan against the group's merged schedule.
-    /// Returns `None` if any member cannot drive a compiled program
-    /// (the group then falls back to per-member solo remaps).
-    pub fn try_compile(plans: &[&RedistPlan], merged: &CommSchedule) -> Option<GroupCopyProgram> {
+    ///
+    /// Panics if a member plan carries no descriptors (an
+    /// enumeration-oracle plan); every plan a [`PlannedRemap`] holds
+    /// has them.
+    ///
+    /// [`PlannedRemap`]: crate::PlannedRemap
+    pub fn compile(plans: &[&RedistPlan], merged: &CommSchedule) -> GroupCopyProgram {
         let members: Vec<CopyProgram> = plans
             .iter()
-            .map(|p| CopyProgram::compile_inner(p, merged, true).ok())
-            .collect::<Option<_>>()?;
+            .map(|p| {
+                CopyProgram::compile_inner(p, merged, true)
+                    .expect("group member plans carry descriptors")
+            })
+            .collect();
         debug_assert!(members.iter().all(|m| m.rounds.len() == merged.rounds.len()));
         let total_elements = members.iter().map(|m| m.total_elements).sum();
-        Some(GroupCopyProgram { members, n_rounds: merged.rounds.len(), total_elements })
+        GroupCopyProgram { members, n_rounds: merged.rounds.len(), total_elements }
     }
 
     /// Whether every member program's fingerprint still matches its
@@ -732,54 +614,46 @@ pub(crate) fn round_goes_inline(total: u64) -> bool {
 
 /// Fewest runs an arithmetic progression must cover before the encoder
 /// emits a [`StrideFamily`] instead of residual triples — below this a
-/// 24-byte descriptor plus loop control beats 12-byte triples by too
+/// 48-byte descriptor plus loop control beats 24-byte triples by too
 /// little to matter.
 pub(crate) const MIN_FAMILY: usize = 4;
 
-/// The single u32-overflow gate of program compilation: every local
-/// position, run index, family index, and family count funnels through
-/// here, so any >4Gi shape declines via one
-/// [`CompileDecline::PositionOverflow`] path (the table engine's u64
-/// arithmetic is the fallback).
-#[inline]
-fn fit_u32(x: u64) -> Result<u32, CompileDecline> {
-    u32::try_from(x).map_err(|_| CompileDecline::PositionOverflow)
-}
-
-/// Stride-encode one (provider, receiver) pair's triples: coalesce
-/// adjacent contiguous-in-both runs, then greedily detect arithmetic
-/// progressions in `(src_pos, dst_pos)` of equal-length runs. Runs of
-/// ≥ [`MIN_FAMILY`] progressions become [`StrideFamily`] descriptors
-/// in `fams`; the genuinely irregular remainder lands in `runs` as
-/// explicit triples. Positions within one pair are produced in
+/// Stride-encode one (provider, receiver) pair's runs: coalesce
+/// adjacent contiguous-in-both runs (in place), then greedily detect
+/// arithmetic progressions in `(src_pos, dst_pos)` of equal-length
+/// runs. Runs of ≥ [`MIN_FAMILY`] progressions become [`StrideFamily`]
+/// descriptors appended to `fams`; the genuinely irregular remainder is
+/// appended to `runs`. Positions within one pair are produced in
 /// ascending destination order by the combination walk, so steps are
 /// non-negative; combination boundaries (where positions may jump
 /// backward) simply break the progression.
-fn encode_runs(
-    rs: Vec<CopyRun>,
-    fams: &mut Vec<StrideFamily>,
-    runs: &mut Vec<CopyRun>,
-) -> Result<(), CompileDecline> {
+fn encode_runs(rs: &mut Vec<CopyRun>, fams: &mut Vec<StrideFamily>, runs: &mut Vec<CopyRun>) {
     // Pass 1: merge runs contiguous on BOTH sides — a unit-stride
     // span is one memcpy at replay, however the walk sliced it.
-    let mut co: Vec<CopyRun> = Vec::with_capacity(rs.len());
-    for r in rs {
-        match co.last_mut() {
+    let mut kept = 0usize;
+    for i in 0..rs.len() {
+        let r = rs[i];
+        match kept.checked_sub(1).map(|k| &mut rs[k]) {
             Some(last)
                 if last.src_pos + last.len == r.src_pos
                     && last.dst_pos + last.len == r.dst_pos =>
             {
                 last.len += r.len;
             }
-            _ => co.push(r),
+            _ => {
+                rs[kept] = r;
+                kept += 1;
+            }
         }
     }
+    rs.truncate(kept);
+    let co = &rs[..];
     // Pass 2: greedy arithmetic-progression detection.
     let mut i = 0usize;
     while i < co.len() {
         let mut j = i;
-        let mut src_step = 0u32;
-        let mut dst_step = 0u32;
+        let mut src_step = 0u64;
+        let mut dst_step = 0u64;
         if let Some(next) = co.get(i + 1) {
             if next.len == co[i].len {
                 if let (Some(ss), Some(ds)) = (
@@ -804,7 +678,7 @@ fn encode_runs(
             fams.push(StrideFamily {
                 src_base: co[i].src_pos,
                 dst_base: co[i].dst_pos,
-                count: fit_u32(count as u64)?,
+                count: count as u64,
                 src_step,
                 dst_step,
                 len: co[i].len,
@@ -815,7 +689,6 @@ fn encode_runs(
             i += 1;
         }
     }
-    Ok(())
 }
 
 /// Pick the replay kernel for one unit's encoded runs — decided once
@@ -825,10 +698,9 @@ fn choose_kernel(fams: &[StrideFamily], runs: &[CopyRun]) -> Kernel {
         // A unit-stride span coalesces to a single residual triple:
         // the whole unit is one memcpy.
         (true, false) if runs.len() == 1 => Kernel::Memcpy,
-        (true, _) => Kernel::Triples,
         (false, true) if fams.iter().all(|f| f.len == 1) => Kernel::Gather,
         (false, true) => Kernel::Strided,
-        (false, false) => Kernel::Mixed,
+        _ => Kernel::Mixed,
     }
 }
 
@@ -852,11 +724,10 @@ fn replay_family(f: &StrideFamily, src: &LocalBlock, dst: &mut LocalBlock) {
     }
 }
 
-/// Replay one unit's residual triples (the pre-stride flat loop).
+/// Replay one unit's residual runs (the flat loop).
 #[inline]
-fn replay_triples(runs: &[CopyRun], unit: CopyUnit, src: &LocalBlock, dst: &mut LocalBlock) {
-    let (lo, hi) = unit.runs;
-    for r in &runs[lo as usize..hi as usize] {
+fn replay_runs(runs: &[CopyRun], unit: CopyUnit, src: &LocalBlock, dst: &mut LocalBlock) {
+    for r in &runs[unit.runs.0..unit.runs.1] {
         let (s, d, len) = (r.src_pos as usize, r.dst_pos as usize, r.len as usize);
         if len == 1 {
             dst.data[d] = src.data[s];
@@ -869,7 +740,8 @@ fn replay_triples(runs: &[CopyRun], unit: CopyUnit, src: &LocalBlock, dst: &mut 
 /// Replay one unit by dispatching to the kernel chosen at compile
 /// time: unit-stride → one `copy_from_slice` (memcpy), single-element
 /// families → a tight scalar gather/scatter loop, general families →
-/// a blocked strided loop, irregular residue → the flat triple loop.
+/// a blocked strided loop, irregular residue → families then the flat
+/// run loop.
 #[inline]
 pub(crate) fn replay_unit(
     fams: &[StrideFamily],
@@ -880,12 +752,12 @@ pub(crate) fn replay_unit(
 ) {
     match unit.kernel {
         Kernel::Memcpy => {
-            let r = runs[unit.runs.0 as usize];
+            let r = runs[unit.runs.0];
             let (s, d, len) = (r.src_pos as usize, r.dst_pos as usize, r.len as usize);
             dst.data[d..d + len].copy_from_slice(&src.data[s..s + len]);
         }
         Kernel::Gather => {
-            for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+            for f in &fams[unit.fams.0..unit.fams.1] {
                 let (mut s, mut d) = (f.src_base as usize, f.dst_base as usize);
                 let (ss, ds) = (f.src_step as usize, f.dst_step as usize);
                 for _ in 0..f.count {
@@ -896,44 +768,41 @@ pub(crate) fn replay_unit(
             }
         }
         Kernel::Strided => {
-            for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+            for f in &fams[unit.fams.0..unit.fams.1] {
                 replay_family(f, src, dst);
             }
         }
-        Kernel::Triples => replay_triples(runs, unit, src, dst),
         Kernel::Mixed => {
-            for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+            for f in &fams[unit.fams.0..unit.fams.1] {
                 replay_family(f, src, dst);
             }
-            replay_triples(runs, unit, src, dst);
+            replay_runs(runs, unit, src, dst);
         }
     }
 }
 
-/// Record the `(src_pos, dst_pos, len)` triples of one descriptor
-/// combination — the position arithmetic of the table engine's
-/// `copy_runs`, evaluated once at compile time. `s_len`/`d_len` are the
-/// per-dimension local extents of the provider/receiver blocks
-/// (`|src_set|` / `|dst_set|` of the combination's entries). Returns
-/// `None` when a position overflows `u32`.
+/// Record the `(src_pos, dst_pos, len)` runs of one descriptor
+/// combination: `runs_by_dim[d]` are the intersection runs of
+/// `entries[d]`. Local positions come from the periodic descriptors in
+/// closed form: the position of global index `g` in an owned-index list
+/// is the number of owned indices below `g`
+/// (`PeriodicSet::count_below`), and a block's local extent along a
+/// dimension is `|src_set|` / `|dst_set|`. A rank-0 scalar is one
+/// single-element run at position 0 on both sides.
 fn record_combination(
-    runs_by_dim: &[&[(u64, u64)]],
+    runs_by_dim: &[Vec<(u64, u64)>],
     entries: &[&DimContribution],
-    s_len: &[u64],
-    d_len: &[u64],
     out: &mut Vec<CopyRun>,
-) -> Option<()> {
+) {
     let rank = runs_by_dim.len();
+    if rank == 0 {
+        out.push(CopyRun { src_pos: 0, dst_pos: 0, len: 1 });
+        return;
+    }
     let last = rank - 1;
     let e_last = entries[last];
-    let mut push = |s_at: u64, d_at: u64, len: u64| -> Option<()> {
-        out.push(CopyRun {
-            src_pos: u32::try_from(s_at).ok()?,
-            dst_pos: u32::try_from(d_at).ok()?,
-            len: u32::try_from(len).ok()?,
-        });
-        Some(())
-    };
+    let s_len: Vec<u64> = entries.iter().map(|e| e.src_set.count()).collect();
+    let d_len: Vec<u64> = entries.iter().map(|e| e.dst_set.count()).collect();
     // Odometer over the outer dimensions, one global index at a time:
     // per dimension, (run index, offset inside the run).
     let mut cur = vec![(0usize, 0u64); last];
@@ -946,16 +815,20 @@ fn record_combination(
             d_pref = d_pref * d_len[d] + entries[d].dst_set.count_below(g);
             s_pref = s_pref * s_len[d] + entries[d].src_set.count_below(g);
         }
-        for &(lo, hi) in runs_by_dim[last] {
+        for &(lo, hi) in &runs_by_dim[last] {
             let dp = e_last.dst_set.count_below(lo);
             let sp = e_last.src_set.count_below(lo);
-            push(s_pref * s_len[last] + sp, d_pref * d_len[last] + dp, hi - lo)?;
+            out.push(CopyRun {
+                src_pos: s_pref * s_len[last] + sp,
+                dst_pos: d_pref * d_len[last] + dp,
+                len: hi - lo,
+            });
         }
         // Advance the outer odometer (innermost outer dim fastest).
         let mut d = last;
         loop {
             if d == 0 {
-                return Some(());
+                return;
             }
             d -= 1;
             let (ref mut ri, ref mut off) = cur[d];
@@ -997,23 +870,22 @@ fn program_fingerprint(
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     h = mix64(h ^ total_elements);
     h = mix64(h ^ fams.len() as u64);
+    let mut eat = |words: &[u64]| {
+        for &w in words {
+            h = mix64(h ^ w);
+        }
+    };
     for f in fams {
-        h = mix64(h ^ (((f.src_base as u64) << 32) | f.dst_base as u64));
-        h = mix64(h ^ (((f.src_step as u64) << 32) | f.dst_step as u64));
-        h = mix64(h ^ (((f.count as u64) << 32) | f.len as u64));
+        eat(&[f.src_base, f.dst_base, f.src_step, f.dst_step, f.count, f.len]);
     }
-    h = mix64(h ^ runs.len() as u64);
+    eat(&[runs.len() as u64]);
     for r in runs {
-        h = mix64(h ^ (((r.src_pos as u64) << 32) | r.dst_pos as u64));
-        h = mix64(h ^ r.len as u64);
+        eat(&[r.src_pos, r.dst_pos, r.len]);
     }
-    h = mix64(h ^ rounds.len() as u64);
+    eat(&[rounds.len() as u64]);
     for u in local.iter().chain(rounds.iter().flatten()) {
-        h = mix64(h ^ (u.provider.rotate_left(32) ^ u.receiver));
-        h = mix64(h ^ (((u.fams.0 as u64) << 32) | u.fams.1 as u64));
-        h = mix64(h ^ (((u.runs.0 as u64) << 32) | u.runs.1 as u64));
-        h = mix64(h ^ u.elements);
-        h = mix64(h ^ u.kernel as u64);
+        eat(&[u.provider, u.receiver, u.fams.0 as u64, u.fams.1 as u64]);
+        eat(&[u.runs.0 as u64, u.runs.1 as u64, u.elements, u.kernel as u64]);
     }
     h
 }
@@ -1023,8 +895,7 @@ fn program_fingerprint(
 /// slice of [`CopyProgram::n_runs`], used by the guarded replay's
 /// accounting.
 pub(crate) fn unit_n_runs(fams: &[StrideFamily], unit: CopyUnit) -> u64 {
-    let (flo, fhi) = unit.fams;
-    fams[flo as usize..fhi as usize].iter().map(|f| f.count as u64).sum::<u64>()
+    fams[unit.fams.0..unit.fams.1].iter().map(|f| f.count).sum::<u64>()
         + (unit.runs.1 - unit.runs.0) as u64
 }
 
@@ -1039,7 +910,7 @@ pub(crate) fn unit_src_sum(
     src: &LocalBlock,
 ) -> u64 {
     let mut sum = 0u64;
-    for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+    for f in &fams[unit.fams.0..unit.fams.1] {
         let (mut s, ss, len) = (f.src_base as usize, f.src_step as usize, f.len as usize);
         for _ in 0..f.count {
             for w in &src.data[s..s + len] {
@@ -1048,8 +919,7 @@ pub(crate) fn unit_src_sum(
             s += ss;
         }
     }
-    let (lo, hi) = unit.runs;
-    for r in &runs[lo as usize..hi as usize] {
+    for r in &runs[unit.runs.0..unit.runs.1] {
         let (s, len) = (r.src_pos as usize, r.len as usize);
         for w in &src.data[s..s + len] {
             sum = sum.wrapping_add(w.to_bits());
@@ -1066,7 +936,7 @@ pub(crate) fn unit_dst_sum(
     dst: &LocalBlock,
 ) -> u64 {
     let mut sum = 0u64;
-    for f in &fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+    for f in &fams[unit.fams.0..unit.fams.1] {
         let (mut d, ds, len) = (f.dst_base as usize, f.dst_step as usize, f.len as usize);
         for _ in 0..f.count {
             for w in &dst.data[d..d + len] {
@@ -1075,8 +945,7 @@ pub(crate) fn unit_dst_sum(
             d += ds;
         }
     }
-    let (lo, hi) = unit.runs;
-    for r in &runs[lo as usize..hi as usize] {
+    for r in &runs[unit.runs.0..unit.runs.1] {
         let (d, len) = (r.dst_pos as usize, r.len as usize);
         for w in &dst.data[d..d + len] {
             sum = sum.wrapping_add(w.to_bits());
@@ -1094,7 +963,7 @@ pub(crate) fn flip_unit_word(
     unit: CopyUnit,
     dst: &mut LocalBlock,
 ) -> bool {
-    if let Some(f) = fams[unit.fams.0 as usize..unit.fams.1 as usize]
+    if let Some(f) = fams[unit.fams.0..unit.fams.1]
         .iter()
         .find(|f| f.count > 0 && f.len > 0)
     {
@@ -1102,8 +971,7 @@ pub(crate) fn flip_unit_word(
         dst.data[d] = f64::from_bits(dst.data[d].to_bits() ^ 1);
         return true;
     }
-    let (lo, hi) = unit.runs;
-    for r in &runs[lo as usize..hi as usize] {
+    for r in &runs[unit.runs.0..unit.runs.1] {
         if r.len > 0 {
             let d = r.dst_pos as usize;
             dst.data[d] = f64::from_bits(dst.data[d].to_bits() ^ 1);
@@ -1266,23 +1134,11 @@ mod tests {
             CopyProgram::compile_checked(&plan, &schedule),
             Err(CompileDecline::NoDescriptors)
         );
-        // A single 6 Gi-element block: local positions exceed u32::MAX.
-        // Declined closed-form from the descriptor counts — nothing
-        // here allocates 6 Gi of data or a single triple.
-        let n = 6u64 << 30;
-        let src = mk(n, 1, DimFormat::Block(None));
-        let dst = mk(n, 1, DimFormat::Cyclic(Some(3)));
-        let plan = plan_redistribution(&src, &dst, 8);
-        let schedule = CommSchedule::from_plan(&plan);
-        assert_eq!(
-            CopyProgram::compile_checked(&plan, &schedule),
-            Err(CompileDecline::PositionOverflow)
-        );
     }
 
     #[test]
     fn cyclic1_collapses_to_gather_families() {
-        // Block → Cyclic(1): the flat encoding stores one triple per
+        // Block → Cyclic(1): a flat encoding stores one run per
         // element; the stride encoder collapses every (provider,
         // receiver) pair to one gather family.
         let n = 1u64 << 18;
@@ -1295,24 +1151,22 @@ mod tests {
         for u in prog.local.iter().chain(prog.rounds.iter().flatten()) {
             assert_eq!(u.kernel, Kernel::Gather);
         }
-        // The acceptance bar: ≥100× smaller than the triple encoding.
-        let flat = prog.expand_to_triples();
-        assert_eq!(flat.runs.len() as u64, n);
+        // ≥100× smaller than the same runs stored flat (one CopyRun
+        // per element, same units).
+        let units = prog.local.len() + prog.rounds.iter().map(Vec::len).sum::<usize>();
+        let flat = n as usize * std::mem::size_of::<CopyRun>()
+            + units * std::mem::size_of::<CopyUnit>();
         assert!(
-            prog.artifact_bytes() * 100 <= flat.artifact_bytes(),
-            "strided artifact {}B vs flat {}B",
-            prog.artifact_bytes(),
-            flat.artifact_bytes()
+            prog.artifact_bytes() * 100 <= flat,
+            "strided artifact {}B vs flat {flat}B",
+            prog.artifact_bytes()
         );
-        // Both encodings replay byte-identical data, in both engines.
+        // Serial and parallel replay write the source's values.
         let mut a = VersionData::new(src, 8);
         a.fill(|p| (p[0] % 1021) as f64);
         let mut b = VersionData::new(dst.clone(), 8);
         b.copy_values_from_program(&a, &prog, ExecMode::Serial);
         assert_eq!(a.to_dense(), b.to_dense());
-        let mut c = VersionData::new(dst.clone(), 8);
-        c.copy_values_from_program(&a, &flat, ExecMode::Serial);
-        assert_eq!(b, c);
         let mut d = VersionData::new(dst, 8);
         d.copy_values_from_program(&a, &prog, ExecMode::Parallel(4));
         assert_eq!(b, d);
@@ -1354,31 +1208,57 @@ mod tests {
     }
 
     #[test]
-    fn overflow_boundary_is_exact_and_unified() {
-        // Exactly u32::MAX local elements: the largest block the u32
-        // format admits. Compiles (closed-form, no data allocated) to
-        // a single coalesced memcpy triple.
-        let n = u64::from(u32::MAX);
+    fn giant_single_block_compiles_to_one_memcpy_unit() {
+        // A single 6 Gi-element block: local positions beyond
+        // u32::MAX. Planning and compiling are closed-form — nothing
+        // here allocates the array — and the whole movement is one
+        // local unit-stride span: a single memcpy.
+        let n = 6u64 << 30;
         let src = mk(n, 1, DimFormat::Block(None));
         let dst = mk(n, 1, DimFormat::Cyclic(Some(3)));
         let plan = plan_redistribution(&src, &dst, 8);
         let schedule = CommSchedule::from_plan(&plan);
-        let prog = CopyProgram::compile_checked(&plan, &schedule)
-            .expect("u32::MAX-element block is in range");
+        let prog = CopyProgram::try_compile(&plan, &schedule).expect("closed-form plans compile");
         assert_eq!(prog.n_elements(), n);
-        assert_eq!(prog.n_runs(), 1, "one coalesced unit-stride span");
-        // One element more (2^32) declines through the single
-        // PositionOverflow gate — the closed-form pre-check, the
-        // per-push backstop, and the stride encoder share it.
-        let n = 1u64 << 32;
-        let src = mk(n, 1, DimFormat::Block(None));
-        let dst = mk(n, 1, DimFormat::Cyclic(Some(3)));
-        let plan = plan_redistribution(&src, &dst, 8);
-        let schedule = CommSchedule::from_plan(&plan);
-        assert_eq!(
-            CopyProgram::compile_checked(&plan, &schedule),
-            Err(CompileDecline::PositionOverflow)
-        );
+        assert!(prog.rounds.is_empty(), "one rank: nothing on the wire");
+        assert_eq!(prog.local.len(), 1);
+        assert_eq!(prog.local[0].kernel, Kernel::Memcpy);
+        assert_eq!(prog.runs, vec![CopyRun { src_pos: 0, dst_pos: 0, len: n }]);
+    }
+
+    #[test]
+    fn rank0_scalar_compiles_to_one_memcpy_unit_per_replica() {
+        use hpfc_mapping::{
+            AlignTarget, Alignment, Distribution, Extents, GridId, Mapping, ProcGrid, Template,
+            TemplateId,
+        };
+        // A scalar aligned to template cell `c` (one owner), or
+        // replicated over the grid (every rank holds it).
+        let scalar = |target: AlignTarget| {
+            let t = Template { id: TemplateId(0), name: "T".into(), shape: Extents::new(&[8]) };
+            let g = ProcGrid { id: GridId(0), name: "P".into(), shape: Extents::new(&[4]) };
+            Mapping {
+                align: Alignment { template: TemplateId(0), targets: vec![target] },
+                dist: Distribution::new(GridId(0), vec![DimFormat::Block(None)]),
+            }
+            .normalize(&Extents::new(&[]), &t, &g)
+            .expect("rank-0 mapping is well-formed")
+        };
+        let on0 = scalar(AlignTarget::Constant(0));
+        let on3 = scalar(AlignTarget::Constant(7));
+        let everywhere = scalar(AlignTarget::Replicate);
+        for (src, dst, units) in [(&on0, &on3, 1), (&on0, &everywhere, 4), (&everywhere, &on3, 1)] {
+            let (plan, prog) = compiled(src, dst);
+            let all: Vec<&CopyUnit> = prog.local.iter().chain(prog.rounds.iter().flatten()).collect();
+            assert_eq!(all.len(), units, "one unit per destination replica");
+            assert!(all.iter().all(|u| u.kernel == Kernel::Memcpy && u.elements == 1));
+            assert_eq!(prog.n_elements(), plan.local_elements + plan.remote_elements());
+            let mut a = VersionData::new(src.clone(), 8);
+            a.fill(|_| 42.0);
+            let mut b = VersionData::new(dst.clone(), 8);
+            b.copy_values_from_program(&a, &prog, ExecMode::Serial);
+            assert!(b.blocks.iter().flatten().all(|blk| blk.data == [42.0]), "every replica");
+        }
     }
 
     #[test]
@@ -1407,7 +1287,7 @@ mod tests {
         prog.fams[0] = orig;
         assert!(prog.integrity_ok());
         let k = prog.local[0].kernel;
-        prog.local[0].kernel = if k == Kernel::Triples { Kernel::Gather } else { Kernel::Triples };
+        prog.local[0].kernel = if k == Kernel::Mixed { Kernel::Gather } else { Kernel::Mixed };
         assert!(!prog.integrity_ok(), "a scribbled kernel tag must be detected");
     }
 

@@ -25,10 +25,11 @@
 //!   ([`crate::CopyProgram::integrity_ok`]).
 //! * **Recovery** — the ladder in `remap_guarded` / `remap_group`:
 //!   bounded retry of the failed round → recompile the program from the
-//!   cached plan (and repair the cache entry) → fall back to the table
-//!   engine → a typed [`ExecError`]. Worker panics are caught with
-//!   `catch_unwind` and degrade `Parallel(t)` → `Serial` for that round
-//!   only.
+//!   cached plan (and repair the cache entry) → a typed
+//!   [`ExecError::Unrecovered`], with the destination rolled back
+//!   byte-identically by the caller's transaction. Worker panics are
+//!   caught with `catch_unwind` and degrade `Parallel(t)` → `Serial`
+//!   for that round only.
 //!
 //! When no faults are configured and validation is
 //! [`ValidationLevel::Off`], none of this is on the remap path: the
@@ -73,10 +74,9 @@ pub enum FaultKind {
     /// [`crate::CompileDecline::Panicked`] path.
     CompilePanic,
     /// Force the whole recovery ladder to fail: every round attempt is
-    /// rejected and the table-engine rung is blocked, so the remap
-    /// surfaces a terminal [`ExecError::Unrecovered`] *after* partial
-    /// writes happened — the scenario transactional rollback exists
-    /// for.
+    /// rejected, so the remap surfaces a terminal
+    /// [`ExecError::Unrecovered`] *after* partial writes happened — the
+    /// scenario transactional rollback exists for.
     Exhaust,
 }
 
@@ -267,9 +267,8 @@ impl FaultPlan {
     }
 
     /// Whether this remap's entire recovery ladder is forced to fail
-    /// (decided once per remap epoch): every round attempt is rejected
-    /// and the table-engine rung is blocked, so the remap ends in a
-    /// terminal [`ExecError::Unrecovered`].
+    /// (decided once per remap epoch): every round attempt is rejected,
+    /// so the remap ends in a terminal [`ExecError::Unrecovered`].
     pub(crate) fn exhaust_fires(&self, epoch: u64) -> bool {
         if self.kinds & FaultKind::Exhaust.bit() == 0 {
             return false;
@@ -350,6 +349,19 @@ pub enum ExecError {
         /// Runtime member count.
         got: usize,
     },
+    /// An array subscript computed at run time lies outside the
+    /// declared bounds `1..=extent` (constant subscripts are rejected
+    /// by semantic analysis; nothing is clamped).
+    OutOfBounds {
+        /// Array name.
+        array: String,
+        /// Dimension, 1-based as in the source.
+        dim: usize,
+        /// The subscript value, 1-based as in the source.
+        index: i64,
+        /// Declared extent of that dimension.
+        extent: u64,
+    },
     /// An interpreter-level invariant violation, reported instead of
     /// panicked.
     Interp {
@@ -376,6 +388,11 @@ impl std::fmt::Display for ExecError {
             ExecError::GroupMismatch { planned, got } => {
                 write!(f, "remap group has {got} members but {planned} were planned")
             }
+            ExecError::OutOfBounds { array, dim, index, extent } => write!(
+                f,
+                "subscript {index} of `{array}` (dimension {dim}) is outside the declared \
+                 bounds 1:{extent}"
+            ),
             ExecError::Interp { what } => write!(f, "interpreter invariant violated: {what}"),
         }
     }
@@ -452,7 +469,7 @@ fn applicable(kind: FaultKind, mode: ExecMode, ctx: &RoundCtx) -> bool {
 /// `replay`, validate counts, and on failure degrade a panicked
 /// parallel round to serial or retry (bounded). Returns the round's
 /// `(runs, elements)` on success, `Err(())` when the round is stuck
-/// (the caller escalates: recompile, then the table engine).
+/// (the caller escalates: recompile, then a typed error).
 pub(crate) fn run_round_ladder(
     machine: &mut Machine,
     ctx: &RoundCtx,
@@ -640,10 +657,10 @@ pub(crate) struct ReplayOutcome {
 /// Rungs: (1) bounded retry of a failed round (worker panics degrade
 /// the round to serial first); (2) recompile the program from the
 /// cached plan and re-replay (idempotent: every destination position is
-/// rewritten); (3) fall back to the table engine, which shares no state
-/// with the compiled program. When no faults are configured and
-/// validation is off, this is exactly the pre-existing unguarded replay
-/// (the allocation-free fast path).
+/// rewritten); then a typed [`ExecError::Unrecovered`] — the caller's
+/// transaction restores the partially written destination. When no
+/// faults are configured and validation is off, this is exactly the
+/// unguarded replay (the allocation-free fast path).
 pub(crate) fn replay_with_recovery(
     machine: &mut Machine,
     planned: &PlannedRemap,
@@ -653,13 +670,8 @@ pub(crate) fn replay_with_recovery(
 ) -> Result<ReplayOutcome, ExecError> {
     let guarded = machine.faults.is_some() || machine.validation != ValidationLevel::Off;
     if !guarded {
-        let (runs, elements) = match &planned.program {
-            Some(p) => dst.copy_values_from_program(src, p, machine.exec_mode),
-            None => {
-                machine.stats.fallbacks_to_tables += 1;
-                dst.copy_values_from_plan(src, &planned.plan)
-            }
-        };
+        let (runs, elements) =
+            dst.copy_values_from_program(src, &planned.program, machine.exec_mode);
         return Ok(ReplayOutcome { runs, elements, repaired: None });
     }
     if src.mapping.array_extents != dst.mapping.array_extents {
@@ -668,56 +680,34 @@ pub(crate) fn replay_with_recovery(
             dst: format!("{:?}", dst.mapping.array_extents),
         });
     }
-    let exhaust = machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch));
-    if exhaust {
+    if machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch)) {
         machine.stats.faults_injected += 1;
     }
-    let mut repaired: Option<CopyProgram> = None;
-    let mut active: Option<&CopyProgram> = planned.program.as_ref();
-    if let Some(p) = active {
-        if !p.compiled_for(src, dst) || !p.integrity_ok() {
-            // Poisoned (or foreign) cached program: recompile from the
-            // cached plan — rung 2 entered straight away.
-            machine.stats.programs_recompiled += 1;
-            repaired = CopyProgram::try_compile(&planned.plan, &planned.schedule)
-                .filter(|f| f.compiled_for(src, dst));
-            active = repaired.as_ref();
-        }
-    }
-    let mut replayed: Option<(u64, u64)> = None;
-    if let Some(prog) = active {
-        validate_blocks(prog, src, dst)?;
-        replayed = replay_rounds_guarded(machine, prog, src, dst, epoch, 0).ok();
-    }
-    if replayed.is_none() && planned.program.is_some() && repaired.is_none() {
-        // Rung 2: recompile once and re-replay everything (idempotent).
+    let unrecovered =
+        |why: &str| ExecError::Unrecovered { context: format!("remap epoch {epoch}: {why}") };
+    // Rung 2, as a function: a fresh program from the cached plan.
+    let recompile = |machine: &mut Machine, dst: &VersionData| {
         machine.stats.programs_recompiled += 1;
-        if let Some(fresh) = CopyProgram::try_compile(&planned.plan, &planned.schedule)
-            .filter(|f| f.compiled_for(src, dst))
-        {
-            replayed = replay_rounds_guarded(machine, &fresh, src, dst, epoch, 1).ok();
-            repaired = Some(fresh);
-        }
-    }
-    let (runs, elements) = match replayed {
-        Some(t) => t,
-        None => {
-            if exhaust {
-                // Forced exhaustion blocks the table rung too: the
-                // remap surfaces a terminal typed error with the
-                // destination partially written — the caller's
-                // transactional rollback restores it.
-                return Err(ExecError::Unrecovered {
-                    context: format!("remap epoch {epoch}: injected ladder exhaustion"),
-                });
-            }
-            // Rung 3: the table engine — re-derives every position from
-            // the plan's descriptors, shares nothing with the compiled
-            // program, and is never fault-injected.
-            machine.stats.fallbacks_to_tables += 1;
-            dst.copy_values_from_plan(src, &planned.plan)
-        }
+        CopyProgram::try_compile(&planned.plan, &planned.schedule)
+            .filter(|p| p.compiled_for(src, dst))
+            .ok_or_else(|| unrecovered("the cached plan does not compile for this version pair"))
     };
+    let cached = &planned.program;
+    let mut repaired = None;
+    if !cached.compiled_for(src, dst) || !cached.integrity_ok() {
+        // Poisoned (or foreign) cached program: rung 2 straight away.
+        repaired = Some(recompile(machine, dst)?);
+    }
+    let prog = repaired.as_ref().unwrap_or(cached);
+    validate_blocks(prog, src, dst)?;
+    let mut replayed = replay_rounds_guarded(machine, prog, src, dst, epoch, 0);
+    if replayed.is_err() && repaired.is_none() {
+        let fresh = recompile(machine, dst)?;
+        replayed = replay_rounds_guarded(machine, &fresh, src, dst, epoch, 1);
+        repaired = Some(fresh);
+    }
+    let (runs, elements) =
+        replayed.map_err(|()| unrecovered("retry and recompile left a round unhealed"))?;
     Ok(ReplayOutcome { runs, elements, repaired })
 }
 
@@ -804,5 +794,7 @@ mod tests {
         assert!(e.to_string().contains("version 2"));
         let e = ExecError::Unrecovered { context: "round 3".into() };
         assert!(e.to_string().contains("round 3"));
+        let e = ExecError::OutOfBounds { array: "a".into(), dim: 1, index: 17, extent: 16 };
+        assert!(e.to_string().contains("subscript 17 of `a`"), "{e}");
     }
 }

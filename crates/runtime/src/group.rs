@@ -55,10 +55,8 @@ pub struct PlannedGroup {
     /// The merged schedule: all members' same-pair messages share
     /// rounds and wire buffers.
     pub schedule: CommSchedule,
-    /// The group replay program, round-aligned to `schedule`. `None`
-    /// when some member cannot drive a compiled program — the group
-    /// then always falls back to solo remaps.
-    pub program: Option<GroupCopyProgram>,
+    /// The group replay program, round-aligned to `schedule`.
+    pub program: GroupCopyProgram,
 }
 
 impl PlannedGroup {
@@ -68,7 +66,7 @@ impl PlannedGroup {
     pub fn compile(members: Vec<Arc<PlannedRemap>>) -> PlannedGroup {
         let plans: Vec<&RedistPlan> = members.iter().map(|m| &m.plan).collect();
         let schedule = CommSchedule::from_plans(&plans);
-        let program = GroupCopyProgram::try_compile(&plans, &schedule);
+        let program = GroupCopyProgram::compile(&plans, &schedule);
         PlannedGroup { members, schedule, program }
     }
 
@@ -118,9 +116,9 @@ impl<'a> GroupMember<'a> {
 /// caterpillar rounds (each communicating pair pays one latency per
 /// round, not one per array), one round-by-round replay of the group
 /// copy program. All other members (and every member, if fewer than two
-/// would move data or the group has no compiled program) go through
-/// [`ArrayRt::remap_guarded`] — with their solo plan seeded into the
-/// array's cache first, so even the fallback never plans at run time.
+/// would move data) go through [`ArrayRt::remap_guarded`] — with their
+/// solo plan seeded into the array's cache first, so even the fallback
+/// never plans at run time.
 ///
 /// `members` must be in group order (matching `planned.members`).
 /// Groups larger than 64 members never coalesce (the mover mask is a
@@ -143,12 +141,12 @@ pub fn remap_group(
 /// unrecoverable member remap surface as errors. With faults or
 /// validation configured on the machine, the coalesced replay runs
 /// through the same recovery ladder as a solo remap (retry failed
-/// rounds → recompile the group program → per-member table-engine
-/// fallback), with worker panics degrading the round to serial.
+/// rounds → recompile the group program → typed error), with worker
+/// panics degrading the round to serial.
 ///
-/// **Atomic** (`HPFC_TXN`, default on): the group commits all members
-/// or none. On the guarded path a rollback record is captured per
-/// member before anything executes, liveness cleaning is deferred until
+/// **Atomic**: the group commits all members or none. On the guarded
+/// path a rollback record is captured per member before anything
+/// executes, liveness cleaning is deferred until
 /// every member committed (cleaning frees copies a rollback could not
 /// restore), and any member's terminal error rolls *every* member —
 /// already-replayed siblings included — back to its byte-identical
@@ -174,7 +172,7 @@ pub fn try_remap_group(
     }
     let mut mask = 0u64;
     let mut movers = 0usize;
-    if planned.program.is_some() && members.len() <= 64 {
+    if members.len() <= 64 {
         for (i, m) in members.iter().enumerate() {
             if m.moves_data() {
                 mask |= 1 << i;
@@ -188,22 +186,17 @@ pub fn try_remap_group(
         mask = 0;
     }
     let guarded = machine.faults.is_some() || machine.validation != ValidationLevel::Off;
-    let armed = machine.txn && guarded;
     // Phase 1 (guarded path only): capture every member's rollback
     // record before anything executes. Movers are bounded by their
     // member program's destination runs; everyone else saves full
     // destination blocks (their remaps are no-ops or solo fallbacks).
     let mut snaps = std::mem::take(&mut machine.group_txn_scratch);
-    if armed {
+    if guarded {
         if snaps.len() < members.len() {
             snaps.resize_with(members.len(), Default::default);
         }
         for (i, m) in members.iter().enumerate() {
-            let program = if mask & (1 << i) != 0 {
-                planned.program.as_ref().map(|g| &g.members[i])
-            } else {
-                None
-            };
+            let program = (mask & (1 << i) != 0).then(|| &planned.program.members[i]);
             snaps[i].capture(
                 m.rt.status,
                 &m.rt.live,
@@ -230,7 +223,7 @@ pub fn try_remap_group(
             Ok(n)
         }
         Err(e) => {
-            if armed {
+            if guarded {
                 machine.stats.group_rollbacks += 1;
                 for (i, m) in members.iter_mut().enumerate().rev() {
                     m.rt.rollback_remap(machine, m.target, &mut snaps[i]);
@@ -306,7 +299,7 @@ fn remap_group_body(
         let (runs, elements) = match &per_member {
             Some(v) => v[i],
             None => {
-                let mp = &planned.program.as_ref().expect("movers imply a program").members[i];
+                let mp = &planned.program.members[i];
                 (mp.n_runs(), mp.n_elements())
             }
         };
@@ -439,16 +432,14 @@ fn replay_parallel(
 }
 
 /// Replay the coalesced movement, guarded when the machine carries
-/// faults or a validation level (otherwise the pre-existing
-/// allocation-free fast path, returning `Ok(None)`). Guarded:
-/// integrity-check the group program (a poisoned program is recompiled
-/// from the cached member plans), run every merged round through the
-/// shared retry ladder, and escalate a stuck round to a one-shot group
-/// recompile and finally to per-member table-engine copies — unless an
-/// injected [`FaultKind::Exhaust`] blocks the table rung too, which
-/// surfaces the terminal error [`try_remap_group`]'s rollback exists
-/// for. Returns the per-member `(runs, elements)` the authoritative
-/// replay delivered.
+/// faults or a validation level (otherwise the allocation-free fast
+/// path, returning `Ok(None)`). Guarded: integrity-check the group
+/// program (a poisoned program is recompiled from the cached member
+/// plans), run every merged round through the shared retry ladder, and
+/// escalate a stuck round to a one-shot group recompile, then to the
+/// terminal [`ExecError::Unrecovered`] that [`try_remap_group`]'s
+/// rollback exists for. Returns the per-member `(runs, elements)` the
+/// authoritative replay delivered.
 fn replay_group_with_recovery(
     machine: &mut Machine,
     members: &mut [GroupMember<'_>],
@@ -456,7 +447,7 @@ fn replay_group_with_recovery(
     mask: u64,
     epoch: u64,
 ) -> Result<Option<Vec<(u64, u64)>>, ExecError> {
-    let base = planned.program.as_ref().expect("movers imply a compiled group program");
+    let base = &planned.program;
     let guarded = machine.faults.is_some() || machine.validation != ValidationLevel::Off;
     if !guarded {
         match machine.exec_mode {
@@ -465,19 +456,13 @@ fn replay_group_with_recovery(
         }
         return Ok(None);
     }
-    let exhaust = machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch));
-    if exhaust {
+    if machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch)) {
         machine.stats.faults_injected += 1;
     }
-    let blocked_tables = |machine: &mut Machine,
-                          members: &mut [GroupMember<'_>]|
-     -> Result<Option<Vec<(u64, u64)>>, ExecError> {
-        if exhaust {
-            return Err(ExecError::Unrecovered {
-                context: format!("group remap epoch {epoch}: injected ladder exhaustion"),
-            });
-        }
-        Ok(Some(group_tables_fallback(machine, members, planned, mask)))
+    let recompile = |machine: &mut Machine| {
+        machine.stats.programs_recompiled += 1;
+        let plans: Vec<&RedistPlan> = planned.members.iter().map(|m| &m.plan).collect();
+        GroupCopyProgram::compile(&plans, &planned.schedule)
     };
     // PoisonProgram: replay a corrupted clone of the group program —
     // what a damaged shared plan registry would serve. (The planned
@@ -492,55 +477,23 @@ fn replay_group_with_recovery(
         machine.stats.faults_injected += 1;
         poisoned = Some(bad);
     }
-    let mut active: &GroupCopyProgram = poisoned.as_ref().unwrap_or(base);
-    let recompiled: Option<GroupCopyProgram>;
-    if !active.integrity_ok() {
-        machine.stats.programs_recompiled += 1;
-        let plans: Vec<&RedistPlan> = planned.members.iter().map(|m| &m.plan).collect();
-        recompiled = GroupCopyProgram::try_compile(&plans, &planned.schedule);
-        match &recompiled {
-            Some(fresh) => active = fresh,
-            None => return blocked_tables(machine, members),
-        }
-    } else {
-        recompiled = None;
-    }
+    let active = poisoned.as_ref().unwrap_or(base);
+    let recompiled = (!active.integrity_ok()).then(|| recompile(machine));
+    let active = recompiled.as_ref().unwrap_or(active);
     if let Ok(v) = replay_group_rounds_guarded(machine, members, active, mask, epoch, 0) {
         return Ok(Some(v));
     }
     if recompiled.is_none() {
         // Rung 2: recompile the whole group once and re-replay
         // (idempotent: every destination position is rewritten).
-        machine.stats.programs_recompiled += 1;
-        let plans: Vec<&RedistPlan> = planned.members.iter().map(|m| &m.plan).collect();
-        if let Some(fresh) = GroupCopyProgram::try_compile(&plans, &planned.schedule) {
-            if let Ok(v) = replay_group_rounds_guarded(machine, members, &fresh, mask, epoch, 1) {
-                return Ok(Some(v));
-            }
+        let fresh = recompile(machine);
+        if let Ok(v) = replay_group_rounds_guarded(machine, members, &fresh, mask, epoch, 1) {
+            return Ok(Some(v));
         }
     }
-    blocked_tables(machine, members)
-}
-
-/// The group's last rung: an independent full table-engine copy per
-/// masked member (re-derives every position from the plan descriptors,
-/// shares nothing with the compiled programs, never fault-injected).
-fn group_tables_fallback(
-    machine: &mut Machine,
-    members: &mut [GroupMember<'_>],
-    planned: &PlannedGroup,
-    mask: u64,
-) -> Vec<(u64, u64)> {
-    let mut out = vec![(0u64, 0u64); members.len()];
-    for (i, m) in members.iter_mut().enumerate() {
-        if mask & (1 << i) == 0 {
-            continue;
-        }
-        machine.stats.fallbacks_to_tables += 1;
-        let (src, dst) = member_pair(m.rt, m.src, m.target);
-        out[i] = dst.copy_values_from_plan(src, &planned.members[i].plan);
-    }
-    out
+    Err(ExecError::Unrecovered {
+        context: format!("group remap epoch {epoch}: retry and recompile left a round unhealed"),
+    })
 }
 
 /// All merged rounds of the group under the guarded regime, each
@@ -775,7 +728,7 @@ mod tests {
         assert_eq!(fwd.schedule.n_wire_messages(), 12);
         // The group program delivers every member's (local + remote)
         // elements exactly once.
-        let prog = fwd.program.as_ref().expect("1-D members compile");
+        let prog = &fwd.program;
         let deliveries: u64 = fwd
             .members
             .iter()
@@ -893,7 +846,7 @@ mod tests {
                 DimFormat::Block(None),
                 DimFormat::Cyclic(Some(gn / 4)),
             );
-            let gp = fwd.program.as_ref().expect("members compile");
+            let gp = &fwd.program;
             for round in std::iter::once(None).chain((0..gp.n_rounds).map(Some)) {
                 let w: u64 = gp
                     .members

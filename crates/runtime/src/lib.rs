@@ -20,8 +20,10 @@
 //!   per-dimension interval descriptors, ordered into contention-free
 //!   caterpillar rounds that [`machine::Machine::account_schedule`]
 //!   costs round by round;
-//! * [`exec::CopyProgram`] — the schedule's data movement compiled to
-//!   flat `(src_pos, dst_pos, len)` triples at plan time, replayed
+//! * [`exec::CopyProgram`] — the one copy engine: the schedule's data
+//!   movement compiled to stride families plus flat
+//!   `(src_pos, dst_pos, len)` runs at plan time (total for every
+//!   closed-form plan, rank-0 scalars included), replayed
 //!   allocation-free per copy and optionally in parallel per
 //!   caterpillar round (`HPFC_THREADS` / [`exec::ExecMode`]);
 //! * [`group::PlannedGroup`] — several arrays remapped by one directive
@@ -45,15 +47,12 @@
 //! * [`fault::FaultPlan`] — deterministic fault injection
 //!   (`HPFC_FAULTS`), per-round validation (`HPFC_VALIDATE`), and the
 //!   self-healing recovery ladder behind [`status::ArrayRt::remap_guarded`]
-//!   and [`group::remap_group`]: retry → recompile → table-engine
-//!   fallback → typed [`fault::ExecError`]. Remaps are transactional
-//!   (`HPFC_TXN`, default on): a terminal error rolls the destination
-//!   back to its exact pre-remap state — bytes, status, and live flags
-//!   — and a group commits all members or none. Pairs that keep
-//!   failing repair are quarantined by the registry
-//!   ([`registry::PlanRegistry::note_repair`]) so later sessions skip
-//!   straight to the table engine, and poisoned shard locks recover
-//!   instead of cascading.
+//!   and [`group::remap_group`]: retry → recompile → typed
+//!   [`fault::ExecError`]. Guarded remaps are transactional: a terminal
+//!   error rolls the destination back to its exact pre-remap state —
+//!   bytes, status, and live flags — and a group commits all members
+//!   or none. Poisoned registry shard locks recover instead of
+//!   cascading.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -93,11 +93,6 @@ pub struct NetStats {
     /// could not be healed by retrying, or after a cached program
     /// failed its integrity check (rung 2).
     pub programs_recompiled: u64,
-    /// Remaps that fell back to the table engine — either because no
-    /// program could be compiled (rank-0 / position-overflow declines)
-    /// or because the recovery ladder exhausted the compiled rungs
-    /// (rung 3).
-    pub fallbacks_to_tables: u64,
     /// Parallel rounds degraded to serial replay after a worker panic
     /// was caught.
     pub parallel_degradations: u64,
@@ -118,11 +113,6 @@ pub struct NetStats {
     /// rolled back every member — including siblings that had already
     /// replayed — before the typed error surfaced.
     pub group_rollbacks: u64,
-    /// Mapping pairs the shared [`crate::PlanRegistry`] quarantined
-    /// after repeated fingerprint/recompile repairs: later requests are
-    /// served a program-stripped artifact that goes straight to the
-    /// table engine instead of re-running the ladder.
-    pub quarantined_pairs: u64,
     /// Registry lock acquisitions that recovered a poisoned shard lock
     /// (`Mutex::into_inner` instead of an `unwrap` panic).
     pub lock_poison_recoveries: u64,
@@ -148,14 +138,12 @@ impl NetStats {
         self.faults_injected += o.faults_injected;
         self.rounds_retried += o.rounds_retried;
         self.programs_recompiled += o.programs_recompiled;
-        self.fallbacks_to_tables += o.fallbacks_to_tables;
         self.parallel_degradations += o.parallel_degradations;
         self.registry_hits += o.registry_hits;
         self.registry_misses += o.registry_misses;
         self.registry_evictions += o.registry_evictions;
         self.txn_rollbacks += o.txn_rollbacks;
         self.group_rollbacks += o.group_rollbacks;
-        self.quarantined_pairs += o.quarantined_pairs;
         self.lock_poison_recoveries += o.lock_poison_recoveries;
     }
 
@@ -193,44 +181,25 @@ impl NetStats {
         let recovery = self.faults_injected
             + self.rounds_retried
             + self.programs_recompiled
-            + self.fallbacks_to_tables
             + self.parallel_degradations;
         if recovery > 0 {
             s.push_str(&format!(
-                " | faults {} (retried {}, recompiled {}, tables {}, degraded {})",
+                " | faults {} (retried {}, recompiled {}, degraded {})",
                 self.faults_injected,
                 self.rounds_retried,
                 self.programs_recompiled,
-                self.fallbacks_to_tables,
                 self.parallel_degradations,
             ));
         }
-        let txn = self.txn_rollbacks
-            + self.group_rollbacks
-            + self.quarantined_pairs
-            + self.lock_poison_recoveries;
+        let txn = self.txn_rollbacks + self.group_rollbacks + self.lock_poison_recoveries;
         if txn > 0 {
             s.push_str(&format!(
-                " | txn rolled back {} solo / {} group, quarantined {}, locks recovered {}",
-                self.txn_rollbacks,
-                self.group_rollbacks,
-                self.quarantined_pairs,
-                self.lock_poison_recoveries,
+                " | txn rolled back {} solo / {} group, locks recovered {}",
+                self.txn_rollbacks, self.group_rollbacks, self.lock_poison_recoveries,
             ));
         }
         s
     }
-}
-
-/// The `HPFC_TXN` knob: transactional remaps are **on** unless the
-/// variable opts out (`off` / `0` / `false` / `no`). Anything else —
-/// including unset, empty, or garbage — selects the default (on):
-/// misconfiguration must never silently drop the rollback guarantee.
-fn txn_from_env() -> bool {
-    !matches!(
-        std::env::var("HPFC_TXN").as_deref().map(str::trim),
-        Ok("off") | Ok("0") | Ok("false") | Ok("no")
-    )
 }
 
 /// Reusable per-phase tallies for [`Machine::account_phase`] — grown
@@ -323,18 +292,13 @@ pub struct Machine {
     /// ([`crate::PlanRegistry::global`]); a solo machine is handed a
     /// private one ([`Machine::with_registry`]).
     pub registry: std::sync::Arc<crate::registry::PlanRegistry>,
-    /// Whether remaps are transactional: before a guarded data-moving
-    /// replay the destination's rollback record is captured, and any
-    /// terminal [`crate::ExecError`] restores the array (and every
-    /// group sibling) byte-identical to its pre-remap state. On by
-    /// default (`HPFC_TXN=off` or [`Machine::with_txn`] disables it for
-    /// A/B runs). The snapshot only arms on the *guarded* path — the
-    /// default fault-free cached bounce is untouched.
-    pub txn: bool,
     /// Reusable per-phase accounting buffers.
     scratch: PhaseScratch,
-    /// Reusable solo-remap rollback record (capacity persists across
-    /// remaps, keeping the armed snapshot allocation-free).
+    /// Reusable solo-remap rollback record: on the guarded path every
+    /// data-moving remap captures one before the replay writes, and a
+    /// terminal [`crate::ExecError`] restores the array byte-identical
+    /// to its pre-remap state (capacity persists across remaps, keeping
+    /// the armed snapshot allocation-free).
     pub(crate) txn_scratch: crate::store::TxnScratch,
     /// Reusable per-member rollback records for group remaps.
     pub(crate) group_txn_scratch: Vec<crate::store::TxnScratch>,
@@ -356,7 +320,6 @@ impl Machine {
             faults: crate::fault::FaultPlan::from_env(),
             validation: crate::fault::ValidationLevel::from_env(),
             registry: std::sync::Arc::clone(crate::registry::PlanRegistry::global()),
-            txn: txn_from_env(),
             scratch: PhaseScratch::default(),
             txn_scratch: crate::store::TxnScratch::default(),
             group_txn_scratch: Vec::new(),
@@ -384,14 +347,6 @@ impl Machine {
     /// Builder-style validation level for the guarded replay.
     pub fn with_validation(mut self, level: crate::fault::ValidationLevel) -> Self {
         self.validation = level;
-        self
-    }
-
-    /// Builder-style override of transactional remaps (`HPFC_TXN`).
-    /// `false` restores the pre-transactional behavior: a terminal
-    /// error leaves the destination partially written (A/B baseline).
-    pub fn with_txn(mut self, txn: bool) -> Self {
-        self.txn = txn;
         self
     }
 
@@ -529,15 +484,13 @@ mod tests {
             faults_injected: base + 14,
             rounds_retried: base + 15,
             programs_recompiled: base + 16,
-            fallbacks_to_tables: base + 17,
-            parallel_degradations: base + 18,
-            registry_hits: base + 19,
-            registry_misses: base + 20,
-            registry_evictions: base + 21,
-            txn_rollbacks: base + 22,
-            group_rollbacks: base + 23,
-            quarantined_pairs: base + 24,
-            lock_poison_recoveries: base + 25,
+            parallel_degradations: base + 17,
+            registry_hits: base + 18,
+            registry_misses: base + 19,
+            registry_evictions: base + 20,
+            txn_rollbacks: base + 21,
+            group_rollbacks: base + 22,
+            lock_poison_recoveries: base + 23,
         };
         let mut merged = mk(100);
         merged.merge(&mk(1000));
@@ -561,14 +514,12 @@ mod tests {
             faults_injected,
             rounds_retried,
             programs_recompiled,
-            fallbacks_to_tables,
             parallel_degradations,
             registry_hits,
             registry_misses,
             registry_evictions,
             txn_rollbacks,
             group_rollbacks,
-            quarantined_pairs,
             lock_poison_recoveries,
         } = merged;
         assert_eq!(messages, 101 + 1001);
@@ -588,20 +539,18 @@ mod tests {
         assert_eq!(faults_injected, 114 + 1014);
         assert_eq!(rounds_retried, 115 + 1015);
         assert_eq!(programs_recompiled, 116 + 1016);
-        assert_eq!(fallbacks_to_tables, 117 + 1017);
-        assert_eq!(parallel_degradations, 118 + 1018);
-        assert_eq!(registry_hits, 119 + 1019);
-        assert_eq!(registry_misses, 120 + 1020);
-        assert_eq!(registry_evictions, 121 + 1021);
-        assert_eq!(txn_rollbacks, 122 + 1022);
-        assert_eq!(group_rollbacks, 123 + 1023);
-        assert_eq!(quarantined_pairs, 124 + 1024);
-        assert_eq!(lock_poison_recoveries, 125 + 1025);
+        assert_eq!(parallel_degradations, 117 + 1017);
+        assert_eq!(registry_hits, 118 + 1018);
+        assert_eq!(registry_misses, 119 + 1019);
+        assert_eq!(registry_evictions, 120 + 1020);
+        assert_eq!(txn_rollbacks, 121 + 1021);
+        assert_eq!(group_rollbacks, 122 + 1022);
+        assert_eq!(lock_poison_recoveries, 123 + 1023);
         // With every counter nonzero, all conditional summary segments
         // print, and every u64 counter's value appears verbatim —
         // summary() cannot silently omit a field either.
         let s = mk(200).summary();
-        for v in 201..=225u64 {
+        for v in 201..=223u64 {
             assert!(s.contains(&v.to_string()), "summary misses {v}: {s}");
         }
         assert!(s.contains("200.5"), "summary misses time_us: {s}");

@@ -28,9 +28,9 @@
 //! `P_s × P_d` count matrix with reusable scratch buffers instead of a
 //! `BTreeMap` keyed by freshly allocated coordinate vectors. The plan
 //! additionally carries the per-dimension [`PeriodicSet`] descriptors
-//! (see [`DimContribution`]), which the storage layer's block-level
-//! copy engine ([`crate::store::VersionData::copy_values_from`])
-//! expands into `copy_from_slice` runs.
+//! (see [`DimContribution`]), which the copy-program compiler
+//! ([`crate::CopyProgram::try_compile`]) expands into
+//! `copy_from_slice` runs.
 //!
 //! Replication is handled by a **canonical source** rule: the replica
 //! at coordinate 0 of every replicated source axis sends (deterministic
@@ -388,9 +388,8 @@ pub(crate) fn receiver_holds_under_src(
 /// makes rank-0 scalars work.
 ///
 /// This single driver is what the closed-form planner
-/// ([`plan_redistribution`]), the descriptor-table copy engine
-/// (`VersionData::copy_with_tables`), and the program compiler
-/// ([`crate::CopyProgram::try_compile`]) all iterate — they cannot
+/// ([`plan_redistribution`]) and the program compiler
+/// ([`crate::CopyProgram::try_compile`]) both iterate — they cannot
 /// disagree on who provides what to whom, because the pair logic
 /// exists exactly once.
 pub(crate) fn for_each_pair_combination(

@@ -39,9 +39,9 @@
 //! artifact is re-[`install`](PlanRegistry::install)ed registry-wide —
 //! later sessions are never handed the corrupt artifact.
 //!
-//! # Neither do panics or deterministic failures
+//! # Neither do panics
 //!
-//! Shared state must also survive *misbehaving clients*. Three layers:
+//! Shared state must also survive *misbehaving clients*. Two layers:
 //!
 //! * **Lock-poison recovery** — a thread that panics while holding a
 //!   shard `Mutex` poisons it; every lock here recovers via
@@ -56,13 +56,6 @@
 //!   [`crate::CompileDecline::Panicked`]
 //!   ([`try_get_or_compile`](PlanRegistry::try_get_or_compile)) with
 //!   the shard lock released healthy.
-//! * **Quarantine** — a pair whose artifact keeps failing
-//!   fingerprint/recompile repair (a deterministically-bad entry) is
-//!   quarantined after [`QUARANTINE_THRESHOLD`] strikes: for a backoff
-//!   window of accesses the registry serves a program-stripped artifact
-//!   whose replay goes straight to the table engine — no ladder, no
-//!   retries — then lets one access probe the normal path again
-//!   (doubling the window if it fails again).
 //!
 //! # Configuration
 //!
@@ -76,7 +69,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
-use hpfc_mapping::intern::{self, MappingPair};
+use hpfc_mapping::intern;
 use hpfc_mapping::NormalizedMapping;
 
 use crate::group::PlannedGroup;
@@ -132,33 +125,6 @@ struct GroupShard {
     clock: u64,
 }
 
-/// Failed repairs a pair is allowed before it is quarantined.
-pub const QUARANTINE_THRESHOLD: u32 = 3;
-/// Accesses served the table-engine artifact on first quarantine.
-const QUARANTINE_INITIAL_BACKOFF: u32 = 8;
-/// Backoff ceiling — the window stops doubling here.
-const QUARANTINE_MAX_BACKOFF: u32 = 1024;
-
-/// One deterministically-bad pair under quarantine. While `remaining`
-/// is positive, [`PlanRegistry::try_get_or_compile`] serves `stripped`
-/// (program-less: the replay goes straight to the table engine) instead
-/// of the registered artifact; when the window closes, one access
-/// probes the normal path again (probation), and another failed repair
-/// re-arms the window doubled.
-struct QuarantineEntry {
-    /// Pins the keyed pair alive so its pointer identity can never be
-    /// recycled onto a different pair while this entry exists.
-    _pair: MappingPair,
-    /// Failed fingerprint/recompile repairs recorded for this pair.
-    failures: u32,
-    /// Accesses still to be served the stripped artifact.
-    remaining: u32,
-    /// Window length to arm on the next quarantine (doubles, capped).
-    backoff: u32,
-    /// The program-stripped artifact served while quarantined.
-    stripped: Option<Arc<PlannedRemap>>,
-}
-
 /// The shared, concurrent, LRU-bounded plan registry. See the module
 /// docs for the design; see [`PlanRegistry::global`] for the
 /// process-wide instance every [`crate::Machine`] attaches to by
@@ -169,14 +135,10 @@ pub struct PlanRegistry {
     shard_cap: usize,
     /// Directive-level groups, one unsharded table (cold path only).
     groups: Mutex<GroupShard>,
-    /// Pairs whose artifacts keep failing repair (off the hot path:
-    /// only consulted when the quarantine table is non-empty).
-    quarantine: Mutex<HashMap<PlanKey, QuarantineEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     poison_recoveries: AtomicU64,
-    quarantined: AtomicU64,
 }
 
 impl std::fmt::Debug for PlanRegistry {
@@ -204,12 +166,10 @@ impl PlanRegistry {
                 .collect(),
             shard_cap,
             groups: Mutex::new(GroupShard { map: HashMap::new(), clock: 0 }),
-            quarantine: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
         }
     }
 
@@ -296,12 +256,8 @@ impl PlanRegistry {
     /// caught by `catch_unwind` *inside* the critical section, so the
     /// shard `Mutex` is released healthy — never poisoned — and the
     /// caller gets a typed [`crate::CompileDecline::Panicked`] to
-    /// recover from (clean solo compile, or the table engine). Nothing
-    /// is registered and no miss is counted for a declined compile.
-    ///
-    /// A quarantined pair short-circuits everything: the
-    /// program-stripped artifact is served as a *hit* (zero retries,
-    /// zero recompiles billed) until its backoff window closes.
+    /// recover from (a clean solo compile). Nothing is registered and
+    /// no miss is counted for a declined compile.
     pub fn try_get_or_compile(
         &self,
         src: &NormalizedMapping,
@@ -325,19 +281,8 @@ impl PlanRegistry {
     ) -> (Result<Arc<PlannedRemap>, Box<dyn std::any::Any + Send>>, RegistryOutcome) {
         let pair = intern::pair(src, dst);
         let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
-        let mut out = RegistryOutcome::default();
-        // The quarantine table is consulted only once anything was ever
-        // quarantined (monotone counter): the common hot path stays a
-        // single shard-lock acquisition.
-        if self.quarantined.load(Ordering::Relaxed) != 0 {
-            if let Some(stripped) = self.quarantine_probe(key, &mut out) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                out.hit = true;
-                return (Ok(stripped), out);
-            }
-        }
         let (mut shard, rec) = self.lock_recover(self.shard_of(key));
-        out.lock_recoveries += rec;
+        let mut out = RegistryOutcome { lock_recoveries: rec, ..Default::default() };
         shard.clock += 1;
         let stamp = shard.clock;
         if let Some(e) = shard.map.get_mut(&key) {
@@ -375,8 +320,8 @@ impl PlanRegistry {
     /// Publish an artifact compiled elsewhere (lowering, a seeded
     /// session). If the pair is already registered the **existing**
     /// artifact wins and is returned — callers must adopt the returned
-    /// `Arc` as canonical. Plans without a mapping pair (rank-0
-    /// degenerate) cannot be keyed and pass through untouched.
+    /// `Arc` as canonical. Plans without a mapping pair (enumeration
+    /// oracles) cannot be keyed and pass through untouched.
     pub fn adopt(&self, planned: Arc<PlannedRemap>) -> (Arc<PlannedRemap>, RegistryOutcome) {
         let Some(key) = Self::key_of(&planned) else {
             return (planned, RegistryOutcome::default());
@@ -485,73 +430,6 @@ impl PlanRegistry {
     /// Lifetime poisoned-lock recoveries, registry-wide.
     pub fn lock_recoveries(&self) -> u64 {
         self.poison_recoveries.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime quarantine events (first arms plus failed probations).
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Serve the quarantined artifact for `key` while its backoff
-    /// window is open, consuming one window slot. A closed window
-    /// (probation) returns `None`: the caller walks the normal path,
-    /// and if that fails repair again, [`PlanRegistry::note_repair`]
-    /// re-arms the window doubled.
-    fn quarantine_probe(&self, key: PlanKey, out: &mut RegistryOutcome) -> Option<Arc<PlannedRemap>> {
-        let (mut q, rec) = self.lock_recover(&self.quarantine);
-        out.lock_recoveries += rec;
-        let e = q.get_mut(&key)?;
-        if e.remaining == 0 {
-            return None;
-        }
-        let stripped = e.stripped.as_ref()?;
-        e.remaining -= 1;
-        Some(Arc::clone(stripped))
-    }
-
-    /// Record one failed fingerprint/recompile repair for `planned`'s
-    /// pair — called by the remap path whenever a served artifact had
-    /// to be healed. At [`QUARANTINE_THRESHOLD`] failures the pair is
-    /// quarantined: a program-stripped artifact (table-engine replay,
-    /// no ladder) is served for a backoff window of accesses, which
-    /// doubles every time a post-window probation fails again. Returns
-    /// whether this call (re-)armed a quarantine window.
-    pub fn note_repair(&self, planned: &Arc<PlannedRemap>) -> bool {
-        let Some(key) = Self::key_of(planned) else { return false };
-        let Some(pair) = planned.plan.mappings.clone() else { return false };
-        let (mut q, _) = self.lock_recover(&self.quarantine);
-        let e = q.entry(key).or_insert_with(|| QuarantineEntry {
-            _pair: pair,
-            failures: 0,
-            remaining: 0,
-            backoff: QUARANTINE_INITIAL_BACKOFF,
-            stripped: None,
-        });
-        e.failures += 1;
-        if e.failures < QUARANTINE_THRESHOLD || e.remaining > 0 {
-            return false;
-        }
-        // Threshold reached with no open window: arm (or re-arm after a
-        // failed probation) the stripped artifact for `backoff`
-        // accesses, then double the next window.
-        e.stripped = Some(Arc::new(PlannedRemap {
-            plan: planned.plan.clone(),
-            schedule: planned.schedule.clone(),
-            program: None,
-        }));
-        e.remaining = e.backoff;
-        e.backoff = (e.backoff * 2).min(QUARANTINE_MAX_BACKOFF);
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Whether `(src, dst, elem_size)` currently has an open quarantine
-    /// window (diagnostics and tests).
-    pub fn is_quarantined(&self, src: &NormalizedMapping, dst: &NormalizedMapping, elem_size: u64) -> bool {
-        let pair = intern::pair(src, dst);
-        let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
-        let (mut q, _) = self.lock_recover(&self.quarantine);
-        q.get_mut(&key).is_some_and(|e| e.remaining > 0 && e.stripped.is_some())
     }
 
     /// Chaos hook: panic while holding the shard lock that owns
@@ -706,44 +584,5 @@ mod tests {
         let (res2, out2) = reg.try_get_or_compile(&src, &dst, 8, false);
         assert!(res2.is_ok() && !out2.hit && out2.lock_recoveries == 0);
         assert_eq!((reg.misses(), reg.len()), (1, 1));
-    }
-
-    #[test]
-    fn quarantine_arms_at_threshold_and_serves_stripped_artifacts() {
-        let reg = PlanRegistry::new(2, 64);
-        let (src, dst) = pair_for(5087);
-        let (p, _) = reg.get_or_compile(&src, &dst, 8);
-        assert!(p.program.is_some(), "1-D plan compiles");
-        // Two failed repairs: below threshold, nothing served stripped.
-        assert!(!reg.note_repair(&p));
-        assert!(!reg.note_repair(&p));
-        assert!(!reg.is_quarantined(&src, &dst, 8));
-        // Third strike arms the window.
-        assert!(reg.note_repair(&p));
-        assert_eq!(reg.quarantined(), 1);
-        assert!(reg.is_quarantined(&src, &dst, 8));
-        // Every access in the window is a hit serving the program-less
-        // artifact (replay goes straight to the table engine).
-        for _ in 0..QUARANTINE_INITIAL_BACKOFF {
-            let (q, o) = reg.try_get_or_compile(&src, &dst, 8, false);
-            let q = q.unwrap();
-            assert!(o.hit && q.program.is_none());
-            assert_eq!(q.plan.total_messages(), p.plan.total_messages());
-        }
-        // Window exhausted: probation serves the registered artifact.
-        assert!(!reg.is_quarantined(&src, &dst, 8));
-        let (probed, o) = reg.try_get_or_compile(&src, &dst, 8, false);
-        assert!(o.hit && Arc::ptr_eq(&probed.unwrap(), &p));
-        // A failed probation re-arms immediately (threshold already
-        // met) with the window doubled.
-        assert!(reg.note_repair(&p));
-        assert_eq!(reg.quarantined(), 2);
-        let mut served = 0;
-        while reg.is_quarantined(&src, &dst, 8) {
-            let (q, _) = reg.try_get_or_compile(&src, &dst, 8, false);
-            assert!(q.unwrap().program.is_none());
-            served += 1;
-        }
-        assert_eq!(served, 2 * QUARANTINE_INITIAL_BACKOFF);
     }
 }

@@ -35,24 +35,27 @@ use crate::store::VersionData;
 #[derive(Debug, Clone)]
 pub struct PlannedRemap {
     /// The communication plan (carries the interval descriptors the
-    /// block-level copy engine walks).
+    /// program was compiled from, and recompiles from on repair).
     pub plan: RedistPlan,
     /// The plan lowered to per-pair packed messages in caterpillar
     /// rounds — what [`Machine::account_schedule`] costs.
     pub schedule: CommSchedule,
     /// The executable form: precompiled `(src_pos, dst_pos, len)`
-    /// triples grouped by round, replayed allocation-free by
-    /// [`VersionData::copy_values_from_program`]. `None` when the plan
-    /// cannot drive a program (rank-0 scalars, `u32` position
-    /// overflow) — the table engine is the fallback.
-    pub program: Option<CopyProgram>,
+    /// runs grouped by round, replayed allocation-free by
+    /// [`VersionData::copy_values_from_program`].
+    pub program: CopyProgram,
 }
 
 impl PlannedRemap {
     /// Plan → schedule → compiled program, the whole pipeline.
+    ///
+    /// Panics if `plan` carries no descriptors (an enumeration-oracle
+    /// plan from [`crate::plan_by_enumeration`]); every closed-form
+    /// plan compiles.
     pub fn compile(plan: RedistPlan) -> PlannedRemap {
         let schedule = CommSchedule::from_plan(&plan);
-        let program = CopyProgram::try_compile(&plan, &schedule);
+        let program = CopyProgram::try_compile(&plan, &schedule)
+            .expect("closed-form plans always compile");
         PlannedRemap { plan, schedule, program }
     }
 }
@@ -279,14 +282,14 @@ impl ArrayRt {
     /// validation level, the data movement runs guarded: a poisoned
     /// cached program is detected by its fingerprint and recompiled
     /// from the cached plan (the cache entry is repaired in place),
-    /// failed rounds are retried then escalated (recompile → table
-    /// engine), and worker panics degrade the round to serial. With
+    /// failed rounds are retried then escalated (recompile → typed
+    /// error), and worker panics degrade the round to serial. With
     /// neither configured this is exactly the unguarded
     /// allocation-free path.
     ///
-    /// **Transactional** (`HPFC_TXN`, default on): on the guarded path
-    /// a rollback record is captured before the replay writes anything,
-    /// and any terminal error restores the destination version —
+    /// **Transactional**: on the guarded path a rollback record is
+    /// captured before the replay writes anything, and any terminal
+    /// error restores the destination version —
     /// status, live flags, allocation, and bytes — to its exact
     /// pre-remap state (`NetStats::txn_rollbacks`). The unguarded fast
     /// path needs no snapshot: with no faults injected and no
@@ -347,13 +350,11 @@ impl ArrayRt {
                             // every session.
                             if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
                                 let mut bad = PlannedRemap::clone(entry);
-                                if let Some(p) = bad.program.as_mut() {
-                                    crate::fault::poison_program(p);
-                                    machine.stats.faults_injected += 1;
-                                    let bad = Arc::new(bad);
-                                    machine.registry.install(Arc::clone(&bad));
-                                    *entry = bad;
-                                }
+                                crate::fault::poison_program(&mut bad.program);
+                                machine.stats.faults_injected += 1;
+                                let bad = Arc::new(bad);
+                                machine.registry.install(Arc::clone(&bad));
+                                *entry = bad;
                             }
                         }
                         let inject_compile_panic = machine
@@ -381,7 +382,6 @@ impl ArrayRt {
                         // writes begin, so the default cached bounce
                         // never pays for a snapshot.
                         let armed = txn
-                            && machine.txn
                             && (machine.faults.is_some()
                                 || machine.validation != crate::ValidationLevel::Off);
                         let mut snap = std::mem::take(&mut machine.txn_scratch);
@@ -392,15 +392,14 @@ impl ArrayRt {
                                 target_preallocated,
                                 Some(&src_data),
                                 self.copies[target as usize].as_ref(),
-                                planned.program.as_ref(),
+                                Some(&planned.program),
                             );
                         }
                         let dst_data = self.copies[target as usize].as_mut().unwrap();
                         // Replay through the recovery ladder (which is
-                        // the plain unguarded program replay — or table
-                        // fallback — when no faults/validation are
-                        // configured). The source copy goes back in
-                        // before any error propagates.
+                        // the plain unguarded program replay when no
+                        // faults/validation are configured). The source
+                        // copy goes back in before any error propagates.
                         let replayed = crate::fault::replay_with_recovery(
                             machine, &planned, &src_data, dst_data, epoch,
                         );
@@ -434,15 +433,9 @@ impl ArrayRt {
                             // ever served the corrupt artifact.
                             if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
                                 let mut healthy = PlannedRemap::clone(entry);
-                                healthy.program = Some(fresh);
+                                healthy.program = fresh;
                                 let healthy = Arc::new(healthy);
                                 machine.registry.install(Arc::clone(&healthy));
-                                // Strike one against the pair: a pair
-                                // that keeps needing repair is
-                                // quarantined (served table-only).
-                                if machine.registry.note_repair(&healthy) {
-                                    machine.stats.quarantined_pairs += 1;
-                                }
                                 *entry = healthy;
                             }
                         }
@@ -789,7 +782,7 @@ mod tests {
         let expected =
             (planned.plan.local_elements + planned.plan.remote_elements()) * a.elem_size;
         assert_eq!(m.stats.bytes_moved, expected);
-        let prog = planned.program.as_ref().expect("1-D plan compiles");
+        let prog = &planned.program;
         assert_eq!(m.stats.runs_copied, prog.n_runs());
         assert_eq!(prog.n_elements() * a.elem_size, expected);
         // Merging stats folds the movement counters too.
@@ -837,7 +830,7 @@ mod tests {
         a.remap(&mut m, 1, &[1u32].into_iter().collect(), false);
         let planned = a.planned(&mut m, 0, 1);
         let plan_pair = planned.plan.mappings.as_ref().expect("closed-form plan");
-        let prog_pair = &planned.program.as_ref().expect("1-D plan compiles").mappings;
+        let prog_pair = &planned.program.mappings;
         assert!(Arc::ptr_eq(plan_pair, prog_pair), "pair must be shared, not cloned");
         // Exactly the two holders above (plan + program): neither
         // compiling, nor the interner (weak), nor the registry entry

@@ -8,20 +8,19 @@
 //! (see `hpfc-mapping`), so two equal mappings have byte-identical
 //! local layouts — the property live-copy reuse relies on.
 //!
-//! Data movement ([`VersionData::copy_values_from`]) is block-level: it
-//! walks the planner's per-dimension periodic interval descriptors
-//! ([`crate::redist::dim_contributions`]) and copies whole contiguous
-//! runs with `copy_from_slice`, instead of routing every element
-//! through a heap-allocated point and per-dimension binary searches.
-//! The cached remap path goes further:
-//! [`VersionData::copy_values_from_program`] replays a compiled
-//! [`crate::CopyProgram`] whose positions were all resolved at plan
-//! time — zero allocations per copy, optionally parallel per
-//! caterpillar round (see [`crate::exec`]).
-//! Result extraction ([`VersionData::to_dense`]) walks canonical blocks
-//! the same run-level way — no per-element owner computation.
+//! Data movement has one engine: a compiled [`crate::CopyProgram`],
+//! whose positions were all resolved at plan time, replayed by
+//! [`VersionData::copy_values_from_program`] — whole contiguous runs
+//! with `copy_from_slice`, zero allocations per copy, optionally
+//! parallel per caterpillar round (see [`crate::exec`]).
+//! [`VersionData::copy_values_from`] is the uncached form: plan,
+//! schedule, compile, replay. Per-point [`VersionData::get`] /
+//! [`VersionData::set`] remain as the value oracle tests compare
+//! against. Result extraction ([`VersionData::to_dense`]) walks
+//! canonical blocks the same run-level way — no per-element owner
+//! computation.
 
-use hpfc_mapping::{intervals::intersect_runs, NormalizedMapping};
+use hpfc_mapping::NormalizedMapping;
 
 /// One processor's slice of a version.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,55 +149,31 @@ impl VersionData {
     /// data movement a redistribution performs (traffic is accounted
     /// separately, from the plan). Returns `(runs, elements)` copied.
     ///
-    /// Computes the per-dimension descriptor tables itself; when a
-    /// [`crate::RedistPlan`] for this pair is already at hand, use
-    /// [`VersionData::copy_values_from_plan`] to reuse its tables — and
-    /// when a compiled [`crate::CopyProgram`] exists (the cached remap
-    /// path), [`VersionData::copy_values_from_program`] replays it
-    /// without re-deriving anything.
+    /// The uncached path: plans the pair, schedules it, compiles the
+    /// [`crate::CopyProgram`] and replays it serially. When a compiled
+    /// program is already at hand (the cached remap path),
+    /// [`VersionData::copy_values_from_program`] replays it without
+    /// re-deriving anything.
     pub fn copy_values_from(&mut self, other: &VersionData) -> (u64, u64) {
-        let per_dim = crate::redist::dim_contributions(&other.mapping, &self.mapping);
-        self.copy_with_tables(other, &per_dim)
-    }
-
-    /// [`VersionData::copy_values_from`] driven by the interval
-    /// descriptors a [`crate::RedistPlan`] already carries (the remap
-    /// path plans and then moves; the tables are computed once).
-    /// Returns `(runs, elements)` copied.
-    ///
-    /// Falls back to recomputing when the plan was not computed for
-    /// exactly this (source, destination) mapping pair — a plan with no
-    /// descriptors (e.g. one built by [`crate::plan_by_enumeration`])
-    /// or one planned for different mappings.
-    pub fn copy_values_from_plan(
-        &mut self,
-        other: &VersionData,
-        plan: &crate::RedistPlan,
-    ) -> (u64, u64) {
-        let descriptors_match = plan.dims.len() == self.mapping.array_extents.rank()
-            && plan
-                .mappings
-                .as_ref()
-                .is_some_and(|m| m.0 == other.mapping && m.1 == self.mapping);
-        if descriptors_match {
-            self.copy_with_tables(other, &plan.dims)
-        } else {
-            self.copy_values_from(other)
-        }
+        let plan = crate::redist::plan_redistribution(&other.mapping, &self.mapping, self.elem_size);
+        let schedule = crate::CommSchedule::from_plan(&plan);
+        let program = crate::CopyProgram::try_compile(&plan, &schedule)
+            .expect("closed-form plans always compile");
+        program.execute(self, other, crate::ExecMode::Serial);
+        (program.n_runs(), program.n_elements())
     }
 
     /// Replay a compiled [`crate::CopyProgram`]: every `(src_pos,
-    /// dst_pos, len)` triple was resolved at plan time, so this is a
+    /// dst_pos, len)` run was resolved at plan time, so this is a
     /// bare `copy_from_slice` loop — zero heap allocations in
     /// [`crate::ExecMode::Serial`], scoped worker threads per
     /// caterpillar round in [`crate::ExecMode::Parallel`]. Returns
     /// `(runs, elements)` copied.
     ///
-    /// Like [`VersionData::copy_values_from_plan`], this guards
-    /// against mismatched inputs: a program compiled for a different
-    /// (source, destination) mapping pair would apply its precompiled
-    /// positions to the wrong block layouts, so the copy falls back to
-    /// recomputing the descriptor tables instead. The check is an
+    /// A program compiled for a different (source, destination)
+    /// mapping pair would apply its precompiled positions to the wrong
+    /// block layouts, so the copy then goes through
+    /// [`VersionData::copy_values_from`] instead. The check is an
     /// allocation-free structural comparison — the cached remap path
     /// stays allocation-free.
     pub fn copy_values_from_program(
@@ -212,67 +187,6 @@ impl VersionData {
         }
         program.execute(self, other, mode);
         (program.n_runs(), program.n_elements())
-    }
-
-    /// The block-level copy engine: for every combination of
-    /// per-dimension periodic interval descriptors, contiguous index
-    /// runs shared by the provider and the receiver are moved with
-    /// `copy_from_slice`; elements are never routed through per-point
-    /// owner computation. Returns `(runs, elements)` copied.
-    fn copy_with_tables(
-        &mut self,
-        other: &VersionData,
-        per_dim: &[Vec<crate::redist::DimContribution>],
-    ) -> (u64, u64) {
-        assert_eq!(self.mapping.array_extents, other.mapping.array_extents);
-        let src = &other.mapping;
-        let dst = &self.mapping;
-        let rank = src.array_extents.rank();
-        if rank == 0 {
-            // Scalars: one element, every destination replica.
-            let v = other.get(&[]);
-            self.set(&[], v);
-            let replicas = self.mapping.owners(&[]).len() as u64;
-            return (replicas, replicas);
-        }
-        if per_dim.iter().any(|e| e.is_empty()) {
-            return (0, 0); // empty array
-        }
-
-        // Materialize every entry's runs once, up front — the
-        // combination walk below revisits each (dimension, entry) pair
-        // many times.
-        let entry_runs: Vec<Vec<Vec<(u64, u64)>>> = per_dim
-            .iter()
-            .enumerate()
-            .map(|(d, entries)| {
-                let n = src.array_extents.extent(d);
-                entries
-                    .iter()
-                    .map(|e| intersect_runs(&e.src_set, &e.dst_set, 0, n).collect())
-                    .collect()
-            })
-            .collect();
-
-        // The pair logic (rank assembly, replica fan-out, receiver
-        // self-preference) lives in the planner's shared driver; this
-        // engine only supplies the per-combination run copy.
-        let dst_blocks = &mut self.blocks;
-        let mut runs: Vec<&[(u64, u64)]> = vec![&[]; rank];
-        let mut totals = (0u64, 0u64);
-        crate::redist::for_each_pair_combination(src, dst, per_dim, |provider, to, idx| {
-            for d in 0..rank {
-                runs[d] = &entry_runs[d][idx[d]];
-            }
-            let src_block =
-                other.blocks[provider as usize].as_ref().expect("provider holds the data");
-            let dst_block =
-                dst_blocks[to as usize].as_mut().expect("receiver allocates the data");
-            let (r, e) = copy_runs(dst_block, src_block, &runs, per_dim, idx);
-            totals.0 += r;
-            totals.1 += e;
-        });
-        totals
     }
 
     /// Gather the full array into a dense row-major vector (verification
@@ -353,13 +267,13 @@ impl VersionData {
 /// state when the recovery ladder is exhausted mid-write.
 ///
 /// A replay only ever writes inside the compiled program's destination
-/// runs (every rung — the cached program, a recompiled one, a poisoned
-/// one whose `src_pos`es were zeroed, the corruption scribble, and the
-/// table engine's re-derived deliveries — targets the same destination
-/// positions), so the snapshot is bounded by the bytes the remap would
-/// move, not the array size. When no program can vouch for the write
-/// set (table-only entries, foreign programs), the full destination
-/// blocks are saved instead.
+/// runs (the cached program, a recompiled one, a poisoned one whose
+/// `src_pos`es were zeroed, and the corruption scribble all target the
+/// same destination positions), so the snapshot is bounded by the
+/// bytes the remap would move, not the array size. When no program
+/// vouches for the write set (a group member remapped outside the
+/// coalesced replay, a foreign program), the full destination blocks
+/// are saved instead.
 ///
 /// Lives in a per-[`crate::Machine`] scratch arena
 /// (`std::mem::take`/put-back around the replay): the vectors keep
@@ -380,7 +294,7 @@ pub struct TxnScratch {
     /// set); a residual triple is the degenerate `count = 1, step = 0`
     /// case. One entry per family keeps the capture metadata O(pairs)
     /// like the artifact itself.
-    ranges: Vec<(u64, u32, u32, u32, u32)>,
+    ranges: Vec<(u64, u64, u64, u64, u64)>,
     /// The saved words, concatenated in `ranges` expansion order.
     words: Vec<f64>,
     /// Full-block fallback: `(rank, data)` clones of every destination
@@ -444,7 +358,7 @@ impl TxnScratch {
             let Some(block) = dst.blocks[unit.receiver as usize].as_ref() else {
                 return false;
             };
-            for f in &p.fams[unit.fams.0 as usize..unit.fams.1 as usize] {
+            for f in &p.fams[unit.fams.0..unit.fams.1] {
                 let mut at = f.dst_base as usize;
                 let (step, len) = (f.dst_step as usize, f.len as usize);
                 let words_start = self.words.len();
@@ -458,7 +372,7 @@ impl TxnScratch {
                 }
                 self.ranges.push((unit.receiver, f.dst_base, f.count, f.dst_step, f.len));
             }
-            for run in &p.runs[unit.runs.0 as usize..unit.runs.1 as usize] {
+            for run in &p.runs[unit.runs.0..unit.runs.1] {
                 let (at, len) = (run.dst_pos as usize, run.len as usize);
                 let Some(words) = block.data.get(at..at + len) else {
                     return false;
@@ -494,85 +408,6 @@ impl TxnScratch {
             } else {
                 off += count as usize * len;
             }
-        }
-    }
-}
-
-/// Copy every element of the cartesian product of `runs` from
-/// `src_block` into `dst_block`: outer dimensions are walked index by
-/// index, the innermost dimension is moved run by run with
-/// `copy_from_slice` (both sides hold each run contiguously, because a
-/// run lies inside one owned interval on either side).
-///
-/// Local positions come from the periodic descriptors in closed form:
-/// the position of global index `g` in an owned-index list is the
-/// number of owned indices below `g` (`PeriodicSet::count_below`), so
-/// no per-run binary search is needed.
-fn copy_runs(
-    dst_block: &mut LocalBlock,
-    src_block: &LocalBlock,
-    runs: &[&[(u64, u64)]],
-    per_dim: &[Vec<crate::redist::DimContribution>],
-    idx: &[usize],
-) -> (u64, u64) {
-    let mut runs_copied = 0u64;
-    let mut elements_copied = 0u64;
-    let rank = runs.len();
-    let last = rank - 1;
-    let LocalBlock { dims: d_dims, data: d_data } = dst_block;
-    let (s_dims, s_data) = (&src_block.dims, &src_block.data);
-    let d_last_len = d_dims[last].len();
-    let s_last_len = s_dims[last].len();
-    let e_last = &per_dim[last][idx[last]];
-
-    // Odometer over the outer dimensions, one global index at a time:
-    // per dimension, (run index, offset inside the run).
-    let mut cur = vec![(0usize, 0u64); last];
-    loop {
-        // Row-major position prefixes of the current outer coordinates.
-        let mut d_pref = 0usize;
-        let mut s_pref = 0usize;
-        for d in 0..last {
-            let (ri, off) = cur[d];
-            let g = runs[d][ri].0 + off;
-            let e = &per_dim[d][idx[d]];
-            d_pref = d_pref * d_dims[d].len() + e.dst_set.count_below(g) as usize;
-            s_pref = s_pref * s_dims[d].len() + e.src_set.count_below(g) as usize;
-        }
-        for &(lo, hi) in runs[last] {
-            let dp = e_last.dst_set.count_below(lo) as usize;
-            let sp = e_last.src_set.count_below(lo) as usize;
-            let len = (hi - lo) as usize;
-            let d_at = d_pref * d_last_len + dp;
-            let s_at = s_pref * s_last_len + sp;
-            if len == 1 {
-                // Cyclic(1)-style destinations degrade every run to a
-                // single element; skip the slice machinery for those.
-                d_data[d_at] = s_data[s_at];
-            } else {
-                d_data[d_at..d_at + len].copy_from_slice(&s_data[s_at..s_at + len]);
-            }
-            runs_copied += 1;
-            elements_copied += len as u64;
-        }
-        // Advance the outer odometer (innermost outer dim fastest).
-        let mut d = last;
-        loop {
-            if d == 0 {
-                return (runs_copied, elements_copied);
-            }
-            d -= 1;
-            let (ref mut ri, ref mut off) = cur[d];
-            *off += 1;
-            if runs[d][*ri].0 + *off < runs[d][*ri].1 {
-                break;
-            }
-            *off = 0;
-            *ri += 1;
-            if *ri < runs[d].len() {
-                break;
-            }
-            *ri = 0;
         }
     }
 }

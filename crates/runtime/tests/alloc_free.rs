@@ -338,8 +338,7 @@ fn steady_state_remap_allocates_nothing() {
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
         .with_registry(std::sync::Arc::new(PlanRegistry::new(1, 64)))
-        .with_validation(hpfc_runtime::ValidationLevel::Counts)
-        .with_txn(true);
+        .with_validation(hpfc_runtime::ValidationLevel::Counts);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -377,8 +376,7 @@ fn steady_state_remap_allocates_nothing() {
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
         .with_registry(std::sync::Arc::new(PlanRegistry::new(1, 64)))
-        .with_validation(hpfc_runtime::ValidationLevel::Counts)
-        .with_txn(true);
+        .with_validation(hpfc_runtime::ValidationLevel::Counts);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -393,7 +391,7 @@ fn steady_state_remap_allocates_nothing() {
     // into another triple-path measurement.
     {
         let cached = rt.plan_cache.get(&(0, 1)).expect("warmed");
-        let prog = cached.program.as_ref().expect("cyclic(1) compiles");
+        let prog = &cached.program;
         assert!(!prog.fams.is_empty(), "stride families drive this shape");
         assert!(prog.runs.is_empty(), "no residual triples for cyclic(1)");
         assert!(

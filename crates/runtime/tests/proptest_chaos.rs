@@ -9,9 +9,7 @@
 //! The transactional section extends the invariant: when a fault
 //! sequence is terminal (injected ladder exhaustion), the typed error
 //! comes with the destination rolled back — bytes, status, and live
-//! flags equal the pre-remap shadow, for solo and group remaps alike —
-//! and a pair that keeps failing repair is quarantined by the registry
-//! so later sessions skip straight to the table engine.
+//! flags equal the pre-remap shadow, for solo and group remaps alike.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -72,44 +70,63 @@ fn assert_matches_oracle(rt: &ArrayRt, shadow: &[f64], what: &str) {
 }
 
 /// CorruptRound at rate 100 with checksums: every attempt of every
-/// round is corrupted, so retries and the recompiled program all fail
-/// and each remap lands on the table engine — and the data is still
-/// exactly right.
+/// round is corrupted, so the retries and the recompiled program all
+/// fail. The ladder ends in a typed `Unrecovered` error, and the
+/// destination is byte-identical to its pre-remap state.
 #[test]
-fn corruption_at_full_rate_falls_back_to_tables() {
+fn corruption_at_full_rate_ends_unrecovered_with_rollback() {
     let n = 4096u64;
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let mut machine = Machine::new(4)
         .with_registry(private_registry())
         .with_exec_mode(ExecMode::Serial)
-        .with_faults(FaultPlan::new(11, 100, &[FaultKind::CorruptRound]))
         .with_validation(ValidationLevel::Checksums);
     let mut rt = seeded_array(n, 4);
-    let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 4);
-    assert_matches_oracle(&rt, &shadow, "corrupt@100");
+    // Two clean bounces: both versions allocated, v1 stale.
+    let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 2);
+    let pre = (rt.status, rt.live.clone(), rt.copies.clone());
+    machine = machine.with_faults(FaultPlan::new(11, 100, &[FaultKind::CorruptRound]));
+    let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+    assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
+    assert_eq!((rt.status, &rt.live, &rt.copies), (pre.0, &pre.1, &pre.2), "rolled back");
+    assert_matches_oracle(&rt, &shadow, "contents after rollback");
     assert!(machine.stats.faults_injected > 0, "corruption was injected");
     assert!(machine.stats.rounds_retried > 0, "rung 1 retried");
-    assert!(machine.stats.programs_recompiled > 0, "rung 2 recompiled");
-    assert_eq!(
-        machine.stats.fallbacks_to_tables, 4,
-        "at rate 100 every data-moving remap ends on the table engine"
-    );
+    assert_eq!(machine.stats.programs_recompiled, 1, "rung 2 recompiled once");
+    assert_eq!(machine.stats.txn_rollbacks, 1);
     assert_eq!(machine.stats.plans_computed, 0, "recovery never plans");
 }
 
 /// CorruptRound at a moderate rate: retries converge (a retry re-rolls
-/// the fault decision), the healed contents match the oracle, and at
-/// least some rounds needed the ladder.
+/// the fault decision), so remaps heal; one whose rounds stay corrupted
+/// through retry *and* recompile ends in a typed `Unrecovered` error
+/// with the destination rolled back. Either way every element matches
+/// the oracle after every bounce.
 #[test]
 fn corruption_at_moderate_rate_heals_by_retry() {
     let n = 4096u64;
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let mut machine = Machine::new(4)
         .with_registry(private_registry())
         .with_exec_mode(ExecMode::Serial)
         .with_faults(FaultPlan::new(5, 40, &[FaultKind::CorruptRound]))
         .with_validation(ValidationLevel::Checksums);
     let mut rt = seeded_array(n, 4);
-    let shadow = bounce_and_oracle(&mut machine, &mut rt, n, 8);
-    assert_matches_oracle(&rt, &shadow, "corrupt@40");
+    rt.current(&mut machine, 0).fill(|p| p[0] as f64 + 1.0);
+    let mut shadow: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
+    let mut unrecovered = 0u64;
+    for b in 0..8u32 {
+        if let Err(e) = rt.try_remap(&mut machine, 1 - (b % 2), &keep, false) {
+            assert!(matches!(e, ExecError::Unrecovered { .. }), "bounce {b}: {e}");
+            unrecovered += 1;
+        }
+        let touched = (7 * b as u64 + 3) % n;
+        rt.set(&[touched], 1000.0 + b as f64);
+        shadow[touched as usize] = 1000.0 + b as f64;
+        assert_matches_oracle(&rt, &shadow, "corrupt@40");
+    }
+    assert!(unrecovered <= 2, "retries heal most remaps at rate 40 ({unrecovered} of 8 did not)");
+    assert_eq!(machine.stats.txn_rollbacks, unrecovered, "every failure rolled back");
     assert!(machine.stats.faults_injected > 0);
     assert!(machine.stats.rounds_retried > 0);
     assert_eq!(machine.stats.plans_computed, 0);
@@ -117,7 +134,7 @@ fn corruption_at_moderate_rate_heals_by_retry() {
 
 /// WorkerPanic at rate 100 under Parallel(4): every big round's first
 /// attempt panics a worker; the panic is caught, the round degrades to
-/// serial, and the replay completes without retries or fallbacks.
+/// serial, and the replay completes without retries or recompiles.
 #[test]
 fn worker_panic_degrades_round_to_serial() {
     let n = 1u64 << 18; // rounds comfortably above PARALLEL_THRESHOLD
@@ -130,7 +147,7 @@ fn worker_panic_degrades_round_to_serial() {
     assert_matches_oracle(&rt, &shadow, "panic@100");
     assert!(machine.stats.parallel_degradations > 0, "panicked rounds degraded");
     assert_eq!(machine.stats.faults_injected, machine.stats.parallel_degradations);
-    assert_eq!(machine.stats.fallbacks_to_tables, 0, "degradation alone healed it");
+    assert_eq!(machine.stats.programs_recompiled, 0, "degradation alone healed it");
     assert_eq!(machine.stats.rounds_retried, 0, "serial re-run is not a retry");
     assert_eq!(machine.stats.plans_computed, 0);
 }
@@ -154,7 +171,6 @@ fn poisoned_cache_entries_are_recompiled_and_repaired() {
         machine.stats.programs_recompiled, 4,
         "each poisoning was caught by the fingerprint and recompiled"
     );
-    assert_eq!(machine.stats.fallbacks_to_tables, 0);
     assert_eq!(machine.stats.rounds_retried, 0, "a fresh program replays cleanly");
     assert_eq!(machine.stats.plans_computed, 0, "repair recompiles, it never re-plans");
 }
@@ -244,8 +260,8 @@ fn wire_loss_heals_and_accounts_each_remap_once() {
         assert!(machine.stats.faults_injected > 0, "wire loss was injected ({mode:?})");
         assert!(machine.stats.rounds_retried > 0, "short rounds were caught ({mode:?})");
         // 6 bounces: 3 forward, 3 back. The schedule is accounted once
-        // per remap *before* the replay; retries, recompiles and
-        // fallbacks never touch the wire books again.
+        // per remap *before* the replay; retries and recompiles never
+        // touch the wire books again.
         assert_eq!(
             machine.stats.messages,
             3 * fwd.total_messages() + 3 * back.total_messages(),
@@ -260,10 +276,11 @@ fn wire_loss_heals_and_accounts_each_remap_once() {
     }
 }
 
-/// Group chaos: the coalesced two-array remap heals per-class like the
-/// solo path — full-rate corruption lands every masked member on the
-/// table engine, poison is recompiled — and both arrays' contents
-/// match their oracles.
+/// Group chaos: the coalesced two-array remap under full-rate faults.
+/// A poisoned group program is recompiled and every bounce heals to
+/// the oracle; full-rate corruption defeats retry and recompile, so the
+/// group ends in a typed `Unrecovered` error with both members
+/// byte-identical to their pre-remap state.
 #[test]
 fn group_remaps_heal_under_chaos() {
     let n = 4096u64;
@@ -273,26 +290,54 @@ fn group_remaps_heal_under_chaos() {
         |s: &NormalizedMapping, d: &NormalizedMapping| {
             Arc::new(PlannedRemap::compile(plan_redistribution(s, d, 8)))
         };
-    let cases: [(FaultPlan, ValidationLevel); 2] = [
-        // Every round of every attempt corrupted: per-member tables.
-        (FaultPlan::new(29, 100, &[FaultKind::CorruptRound]), ValidationLevel::Checksums),
-        // Every group program poisoned: recompile heals it.
-        (FaultPlan::new(31, 100, &[FaultKind::PoisonProgram]), ValidationLevel::Off),
-    ];
-    for (faults, validation) in cases {
-        let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
-        let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
+    let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
+    let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
+    for corrupt in [false, true] {
         let mut machine = Machine::new(4)
             .with_registry(private_registry())
-            .with_exec_mode(ExecMode::Serial)
-            .with_faults(faults)
-            .with_validation(validation);
+            .with_exec_mode(ExecMode::Serial);
         let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
         a.current(&mut machine, 0).fill(|p| p[0] as f64);
         b.current(&mut machine, 0).fill(|p| 2.0 * p[0] as f64);
-        let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-        let skip = BTreeSet::new();
+        if corrupt {
+            // One clean bounce so both versions are allocated and the
+            // destination is stale, then every round of every attempt
+            // is corrupted.
+            for (s, t, planned) in [(0u32, 1u32, &fwd), (1, 0, &back)] {
+                let mut members = [
+                    GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                    GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                ];
+                assert_eq!(remap_group(&mut machine, &mut members, planned), 2);
+                a.set(&[0], 60.0 + t as f64);
+                b.set(&[1], 80.0 + t as f64);
+            }
+            let pre_a = (a.status, a.live.clone(), a.copies.clone());
+            let pre_b = (b.status, b.live.clone(), b.copies.clone());
+            machine = machine
+                .with_faults(FaultPlan::new(29, 100, &[FaultKind::CorruptRound]))
+                .with_validation(ValidationLevel::Checksums);
+            let err = {
+                let mut members = [
+                    GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+                    GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+                ];
+                try_remap_group(&mut machine, &mut members, &fwd).unwrap_err()
+            };
+            assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
+            assert_eq!(machine.stats.group_rollbacks, 1);
+            assert_eq!(machine.stats.programs_recompiled, 1, "one group recompile");
+            assert!(machine.stats.rounds_retried > 0);
+            assert_eq!((a.status, &a.live, &a.copies), (pre_a.0, &pre_a.1, &pre_a.2), "member a");
+            assert_eq!((b.status, &b.live, &b.copies), (pre_b.0, &pre_b.1, &pre_b.2), "member b");
+            assert_eq!(machine.stats.plans_computed, 0, "group recovery never plans");
+            continue;
+        }
+        // Every group program poisoned: recompile heals it.
+        machine = machine.with_faults(FaultPlan::new(31, 100, &[FaultKind::PoisonProgram]));
         for bounce in 0..4u32 {
             let (s, t) = if bounce % 2 == 0 { (0u32, 1u32) } else { (1, 0) };
             let mut members = [
@@ -307,22 +352,12 @@ fn group_remaps_heal_under_chaos() {
         for i in 0..n {
             let want_a = if i == 0 { 53.0 } else { i as f64 };
             let want_b = if i == 1 { 73.0 } else { 2.0 * i as f64 };
-            assert_eq!(a.get(&[i]), want_a, "array a element {i} ({faults:?})");
-            assert_eq!(b.get(&[i]), want_b, "array b element {i} ({faults:?})");
+            assert_eq!(a.get(&[i]), want_a, "array a element {i}");
+            assert_eq!(b.get(&[i]), want_b, "array b element {i}");
         }
-        assert!(machine.stats.faults_injected >= 4, "one injection per group remap");
+        assert_eq!(machine.stats.faults_injected, 4, "one injection per group remap");
+        assert_eq!(machine.stats.programs_recompiled, 4, "one group recompile per remap");
         assert_eq!(machine.stats.plans_computed, 0, "group recovery never plans");
-        match validation {
-            ValidationLevel::Checksums => assert_eq!(
-                machine.stats.fallbacks_to_tables,
-                8,
-                "full-rate corruption: 4 group remaps x 2 members on tables"
-            ),
-            _ => {
-                assert_eq!(machine.stats.programs_recompiled, 4, "one group recompile per remap");
-                assert_eq!(machine.stats.fallbacks_to_tables, 0);
-            }
-        }
     }
 }
 
@@ -375,12 +410,8 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
         for seeded in [true, false] {
-            // Explicit `with_txn(true)`: this test pins rollback, so it
-            // must hold whatever `HPFC_TXN` the suite runs under.
-            let mut machine = Machine::new(4)
-                .with_exec_mode(mode)
-                .with_txn(true)
-                .with_registry(private_registry());
+            let mut machine =
+                Machine::new(4).with_exec_mode(mode).with_registry(private_registry());
             // Plan through pre-seeded per-array caches, or through the
             // registry.
             let mut rt = if seeded {
@@ -446,13 +477,13 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
     // triples, the test would silently stop covering the strided
     // capture path.
     for planned in [&fwd, &back] {
-        let prog = planned.program.as_ref().expect("cyclic(1) bounce compiles");
+        let prog = &planned.program;
         assert!(!prog.fams.is_empty(), "stride families drive this shape");
         assert!(prog.runs.is_empty(), "no residual triples for cyclic(1)");
     }
     for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
         let mut machine =
-            Machine::new(4).with_registry(private_registry()).with_exec_mode(mode).with_txn(true);
+            Machine::new(4).with_registry(private_registry()).with_exec_mode(mode);
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.seed_plan(0, 1, Arc::clone(&fwd));
         rt.seed_plan(1, 0, Arc::clone(&back));
@@ -479,45 +510,6 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
     }
 }
 
-/// The A/B contrast pinning what the transaction buys: with
-/// `with_txn(false)` the same forced exhaustion leaves the
-/// partially-written destination behind (the ladder writes, then
-/// rejects), while the default rolls it back byte-identically.
-#[test]
-fn transactions_off_leaves_the_partial_write_behind() {
-    let n = 4096u64;
-    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    for txn in [true, false] {
-        let mut machine = Machine::new(4)
-            .with_registry(private_registry())
-            .with_exec_mode(ExecMode::Serial)
-            .with_txn(txn);
-        let mut rt = seeded_array(n, 4);
-        bounce_and_oracle(&mut machine, &mut rt, n, 2);
-        // Refresh every element of the current copy so the stale v1
-        // differs everywhere — any executed round must change bytes.
-        rt.current(&mut machine, 0).fill(|p| 5000.0 + p[0] as f64);
-        let shadow: Vec<f64> = (0..n).map(|i| 5000.0 + i as f64).collect();
-        let pre_copies = rt.copies.clone();
-        machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
-        let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
-        assert!(matches!(err, ExecError::Unrecovered { .. }));
-        if txn {
-            assert_eq!(machine.stats.txn_rollbacks, 1);
-            assert_eq!(rt.copies, pre_copies, "transaction restored the stale destination");
-        } else {
-            assert_eq!(machine.stats.txn_rollbacks, 0);
-            assert_ne!(
-                rt.copies[1], pre_copies[1],
-                "without the transaction the rejected replay's writes stay behind"
-            );
-        }
-        // Status never moved in either case, so reads stay correct.
-        assert_eq!(rt.status, Some(0));
-        assert_matches_oracle(&rt, &shadow, "reads via the unchanged status");
-    }
-}
-
 /// Group atomicity on the coalesced path: forced exhaustion of the
 /// merged replay surfaces one typed error and rolls BOTH members back
 /// to their byte-identical pre-directive state, under both engines.
@@ -535,7 +527,7 @@ fn exhaustion_rolls_a_coalesced_group_back_atomically() {
         let fwd = PlannedGroup::compile(vec![solo(&src, &dst), solo(&src, &dst)]);
         let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
         let mut machine =
-            Machine::new(4).with_registry(private_registry()).with_exec_mode(mode).with_txn(true);
+            Machine::new(4).with_registry(private_registry()).with_exec_mode(mode);
         let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
         a.current(&mut machine, 0).fill(|p| p[0] as f64);
@@ -597,10 +589,8 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
     let back = PlannedGroup::compile(vec![solo(&dst, &src), solo(&dst, &src)]);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
     let skip = BTreeSet::new();
-    let mut machine = Machine::new(4)
-        .with_registry(private_registry())
-        .with_exec_mode(ExecMode::Serial)
-        .with_txn(true);
+    let mut machine =
+        Machine::new(4).with_registry(private_registry()).with_exec_mode(ExecMode::Serial);
     let mut a = seeded_array(n, 4);
     let mut b = seeded_array(n, 4);
     a.current(&mut machine, 0).fill(|p| p[0] as f64);
@@ -665,48 +655,6 @@ fn a_contained_compile_panic_still_heals_to_the_oracle() {
     assert_eq!(registry.len(), 2, "the clean recompiles were published");
     assert_eq!(machine.stats.lock_poison_recoveries, 0, "no lock was ever poisoned");
     assert_eq!(machine.stats.txn_rollbacks, 0, "nothing terminal happened");
-}
-
-/// The quarantine ladder end to end: a pair whose artifact keeps
-/// failing repair (three poisonings) is quarantined registry-wide; a
-/// second session over the same pairs is served program-stripped
-/// artifacts as registry hits and skips straight to the table engine —
-/// zero retries, zero recompiles billed.
-#[test]
-fn a_quarantined_pair_serves_the_table_engine_in_the_next_session() {
-    let n = 4096u64;
-    let registry = Arc::new(PlanRegistry::new(2, 64));
-    let src = mk1d(n, 4, DimFormat::Block(None));
-    let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
-
-    // Session A: every served program is poisoned. Each direction's
-    // first remap compiles (nothing cached to poison yet); the next
-    // three are poisoned, caught by the fingerprint, and repaired —
-    // the third strike crosses QUARANTINE_THRESHOLD.
-    let mut ma = Machine::new(4)
-        .with_exec_mode(ExecMode::Serial)
-        .with_registry(Arc::clone(&registry))
-        .with_faults(FaultPlan::new(41, 100, &[FaultKind::PoisonProgram]));
-    let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-    let shadow_a = bounce_and_oracle(&mut ma, &mut a, n, 8);
-    assert_matches_oracle(&a, &shadow_a, "session A under poison");
-    assert_eq!(ma.stats.programs_recompiled, 6, "3 repairs per direction");
-    assert_eq!(ma.stats.quarantined_pairs, 2, "both directions crossed the threshold");
-    assert_eq!(registry.quarantined(), 2);
-    assert!(registry.is_quarantined(&src, &dst, 8));
-    assert!(registry.is_quarantined(&dst, &src, 8));
-
-    // Session B: fresh machine and array, same registry, no faults.
-    let mut mb =
-        Machine::new(4).with_exec_mode(ExecMode::Serial).with_registry(Arc::clone(&registry));
-    let mut b = ArrayRt::new("b", vec![src, dst], 8);
-    let shadow_b = bounce_and_oracle(&mut mb, &mut b, n, 4);
-    assert_matches_oracle(&b, &shadow_b, "session B over quarantined pairs");
-    assert_eq!(mb.stats.plans_computed, 0, "stripped artifacts are served as hits");
-    assert_eq!(mb.stats.registry_hits, 2);
-    assert_eq!(mb.stats.fallbacks_to_tables, 4, "every data-moving remap on tables");
-    assert_eq!(mb.stats.rounds_retried, 0, "zero retries billed");
-    assert_eq!(mb.stats.programs_recompiled, 0, "no doomed recompiles billed");
 }
 
 /// One drawn mapping configuration (alignment + distribution
@@ -791,7 +739,6 @@ proptest! {
             let mut machine = Machine::new(nprocs)
                 .with_registry(private_registry())
                 .with_exec_mode(mode)
-                .with_txn(true)
                 .with_faults(FaultPlan::all(seed, rate))
                 .with_validation(ValidationLevel::Checksums);
             let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
@@ -862,7 +809,6 @@ proptest! {
         let mut machine = Machine::new(nprocs)
             .with_registry(private_registry())
             .with_exec_mode(ExecMode::Serial)
-            .with_txn(true)
             .with_faults(FaultPlan::new(seed, 100, &[FaultKind::Exhaust]));
         let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
         rt.seed_plan(0, 1, Arc::new(PlannedRemap::compile(

@@ -239,21 +239,20 @@ proptest! {
         prop_assert_eq!(dense, per_point);
     }
 
-    /// The compiled copy program agrees with every other engine over
-    /// the full mapping space: serial replay == parallel replay ==
-    /// descriptor-table engine == the per-point oracle (element-by-
-    /// element reads through the canonical owner). Also pins the
-    /// volume invariant: the program delivers exactly the planned
+    /// The compiled copy program agrees with the per-point oracle
+    /// (element-by-element reads through the canonical owner) over the
+    /// full mapping space, serial and parallel replay alike. Also pins
+    /// the volume invariant: the program delivers exactly the planned
     /// `local + remote` element count.
     #[test]
-    fn rich_program_replay_matches_tables_and_per_point_oracle(
+    fn rich_program_replay_matches_per_point_oracle(
         src in rich_mapping_strategy(6, 5),
         dst in rich_mapping_strategy(6, 5),
     ) {
         let plan = plan_redistribution(&src, &dst, 8);
         let schedule = CommSchedule::from_plan(&plan);
         let program = CopyProgram::try_compile(&plan, &schedule)
-            .expect("rank >= 1 plans always compile");
+            .expect("closed-form plans always compile");
         prop_assert_eq!(
             program.n_elements(),
             plan.local_elements + plan.remote_elements(),
@@ -267,9 +266,6 @@ proptest! {
         // Parallel replay (3 workers: uneven chunking on purpose).
         let mut parallel = VersionData::new(serial.mapping.clone(), 8);
         parallel.copy_values_from_program(&a, &program, ExecMode::Parallel(3));
-        // Descriptor-table engine.
-        let mut tables = VersionData::new(serial.mapping.clone(), 8);
-        tables.copy_values_from_plan(&a, &plan);
         // Per-point oracle: read every element through the canonical
         // owner, write it to every destination replica.
         let mut oracle = VersionData::new(serial.mapping.clone(), 8);
@@ -278,7 +274,6 @@ proptest! {
             oracle.set(&p, a.get(&p));
         }
         prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(&serial, &tables);
         prop_assert_eq!(&serial, &oracle);
     }
 
@@ -294,7 +289,7 @@ proptest! {
         let plan = plan_redistribution(&src, &dst, 8);
         let schedule = CommSchedule::from_plan(&plan);
         let program = CopyProgram::try_compile(&plan, &schedule)
-            .expect("rank >= 1 plans always compile");
+            .expect("closed-form plans always compile");
         for round in program.rounds.iter().chain(std::iter::once(&program.local)) {
             let receivers: std::collections::BTreeSet<u64> =
                 round.iter().map(|u| u.receiver).collect();
@@ -448,5 +443,62 @@ fn replicate_axis_roundtrip() {
         let plan = plan_redistribution(s, d, 8);
         let oracle = plan_by_enumeration(s, d, 8);
         assert_eq!(plan, oracle);
+    }
+}
+
+/// A rank-0 scalar pinned to template cell `c` of a 1-D template over
+/// `p` processors — different cells land on different owners, so a
+/// remap between two such mappings really moves the value.
+fn scalar_at(c: i64, p: u64) -> NormalizedMapping {
+    let t = Template { id: TemplateId(0), name: "T".into(), shape: Extents::new(&[8]) };
+    let g = ProcGrid { id: GridId(0), name: "P".into(), shape: Extents::new(&[p]) };
+    Mapping {
+        align: Alignment { template: TemplateId(0), targets: vec![AlignTarget::Constant(c)] },
+        dist: Distribution::new(GridId(0), vec![DimFormat::Block(None)]),
+    }
+    .normalize(&Extents::new(&[]), &t, &g)
+    .expect("rank-0 mapping is well-formed")
+}
+
+/// Rank-0 scalars move through the one copy engine: the cached plan
+/// carries a compiled program (one single-element memcpy unit), and a
+/// remap replays it on the unguarded fast path (`Off`) and through the
+/// guarded ladder (`Counts`, `Checksums`) alike, with the exact
+/// planned volume and no recovery activity.
+#[test]
+fn rank0_scalar_remap_moves_through_the_compiled_program() {
+    use hpfc_runtime::{ArrayRt, Kernel, PlanRegistry, ValidationLevel};
+    use std::collections::BTreeSet;
+
+    // Block(2) on a template of 8 cells puts cell 0 on proc 0 and cell
+    // 7 on proc 3: the scalar really travels.
+    let (on0, on3) = (scalar_at(0, 4), scalar_at(7, 4));
+    let plan = plan_redistribution(&on0, &on3, 8);
+    let schedule = CommSchedule::from_plan(&plan);
+    let program = CopyProgram::try_compile(&plan, &schedule).expect("rank-0 plans compile");
+    let units: Vec<_> = program.local.iter().chain(program.rounds.iter().flatten()).collect();
+    assert_eq!(units.len(), 1);
+    assert_eq!((units[0].provider, units[0].receiver, units[0].kernel), (0, 3, Kernel::Memcpy));
+    assert_eq!(program.n_elements(), 1);
+
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    for validation in [ValidationLevel::Off, ValidationLevel::Counts, ValidationLevel::Checksums]
+    {
+        let mut machine = Machine::new(4)
+            .with_exec_mode(ExecMode::Serial)
+            .with_registry(std::sync::Arc::new(PlanRegistry::new(1, 64)))
+            .with_validation(validation);
+        let mut rt = ArrayRt::new("s", vec![on0.clone(), on3.clone()], 8);
+        rt.current(&mut machine, 0).fill(|_| 42.0);
+        rt.remap(&mut machine, 1, &keep, false);
+        assert_eq!(rt.get(&[]), 42.0, "value survived the hop ({validation:?})");
+        rt.set(&[], 7.0);
+        rt.remap(&mut machine, 0, &keep, false);
+        assert_eq!(rt.get(&[]), 7.0, "value survived the hop back ({validation:?})");
+        let s = machine.stats;
+        assert_eq!(s.remaps_performed, 2);
+        assert_eq!((s.bytes_moved, s.runs_copied), (16, 2), "one element per hop ({validation:?})");
+        assert_eq!((s.messages, s.bytes), (2, 16), "one 8-byte message per hop");
+        assert_eq!((s.faults_injected, s.rounds_retried, s.programs_recompiled), (0, 0, 0));
     }
 }

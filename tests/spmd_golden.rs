@@ -418,7 +418,7 @@ fn restore_arm_schedules_match_their_plans() {
             assert_eq!((m.from, m.to, m.elements), (t.from, t.to, t.elements));
         }
         assert_eq!(sched.total_bytes(), plan.total_bytes());
-        let prog = copy.planned.program.as_ref().expect("1-D plan compiles");
+        let prog = &copy.planned.program;
         assert_eq!(prog.n_elements(), 8, "every element delivered once");
     }
 }
