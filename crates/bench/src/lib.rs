@@ -76,12 +76,12 @@ pub fn run_figure(src: &str, label: &str, note: &str, exec: ExecConfig) -> Row {
         let e1 = exec.clone();
         let h1 = s.spawn(move || {
             compile_and_run(src, &CompileOptions::naive(), e1)
-                .unwrap_or_else(|e| panic!("{e:?}"))
+                .unwrap_or_else(|e| panic!("{e}"))
                 .1
         });
         let h2 = s.spawn(move || {
             compile_and_run(src, &CompileOptions::max(), exec)
-                .unwrap_or_else(|e| panic!("{e:?}"))
+                .unwrap_or_else(|e| panic!("{e}"))
                 .1
         });
         (h1.join().expect("naive run"), h2.join().expect("optimized run"))

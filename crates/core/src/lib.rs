@@ -191,21 +191,41 @@ pub fn compile(src: &str, options: &CompileOptions) -> Result<Compiled, Vec<Diag
     Ok(Compiled { units, order, warnings: module.warnings })
 }
 
+/// Why [`compile_and_run`] produced no result: every input ends in
+/// results, typed diagnostics, or a typed execution error.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// The source did not compile.
+    Compile(Vec<Diagnostic>),
+    /// The compiled main routine failed at run time.
+    Exec(ExecError),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Compile(diags) => {
+                write!(f, "compilation failed with {} diagnostic(s)", diags.len())?;
+                diags.iter().try_for_each(|d| write!(f, "\n{d}"))
+            }
+            RunError::Exec(e) => write!(f, "execution failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
 /// Compile and run in one call; returns the compiled artifacts and the
-/// execution result of the main routine. A compiled program executing
-/// cleanly is this facade's contract, so an [`runtime::ExecError`]
-/// (which [`execute`] returns as a value) panics here; call
-/// [`execute`] directly to handle execution errors as data.
+/// execution result of the main routine, or the diagnostics or
+/// [`ExecError`] that stopped it.
 pub fn compile_and_run(
     src: &str,
     options: &CompileOptions,
     exec: ExecConfig,
-) -> Result<(Compiled, ExecResult), Vec<Diagnostic>> {
-    let compiled = compile(src, options)?;
+) -> Result<(Compiled, ExecResult), RunError> {
+    let compiled = compile(src, options).map_err(RunError::Compile)?;
     let programs = compiled.programs();
-    let main = compiled.order[0].clone();
-    let result = execute(&programs, &main, exec)
-        .unwrap_or_else(|e| panic!("execution of `{main}` failed: {e}"));
+    let result = execute(&programs, &compiled.order[0], exec).map_err(RunError::Exec)?;
     Ok((compiled, result))
 }
 

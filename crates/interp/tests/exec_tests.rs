@@ -1,7 +1,7 @@
 //! Interpreter-level tests: language execution semantics on the
 //! simulated machine, independent of the remapping machinery.
 
-use hpfc::{compile_and_run, CompileOptions, ExecConfig};
+use hpfc::{compile_and_run, CompileOptions, ExecConfig, RunError};
 
 fn run(src: &str, scalars: &[(&str, f64)]) -> hpfc::ExecResult {
     let mut cfg = ExecConfig::default();
@@ -506,9 +506,11 @@ fn bad_intrinsic_arity_and_constant_subscripts_end_in_diagnostics() {
             "subroutine s\nreal :: a(16)\n!hpf$ processors p(4)\n\
              !hpf$ distribute a(block) onto p\na = 1.0\n{stmt}\nend"
         );
-        let errs = compile_and_run(&src, &CompileOptions::default(), ExecConfig::default())
-            .map(|_| ())
-            .expect_err(stmt);
+        let Err(RunError::Compile(errs)) =
+            compile_and_run(&src, &CompileOptions::default(), ExecConfig::default())
+        else {
+            panic!("{stmt}: expected diagnostics");
+        };
         assert!(errs.iter().any(|e| e.code == code), "{stmt}: {errs:?}");
     }
 }
@@ -522,9 +524,11 @@ fn whole_array_references_in_scalar_context_end_in_diagnostics() {
             "subroutine s\nreal :: a(16)\n!hpf$ processors p(4)\n\
              !hpf$ distribute a(block) onto p\na = 1.0\n{stmt}\nend"
         );
-        let errs = compile_and_run(&src, &CompileOptions::default(), ExecConfig::default())
-            .map(|_| ())
-            .expect_err(stmt);
+        let Err(RunError::Compile(errs)) =
+            compile_and_run(&src, &CompileOptions::default(), ExecConfig::default())
+        else {
+            panic!("{stmt}: expected diagnostics");
+        };
         assert!(
             errs.iter().any(|e| e.code == hpfc::lang::diag::codes::WHOLE_ARRAY),
             "{stmt}: {errs:?}"
@@ -532,22 +536,32 @@ fn whole_array_references_in_scalar_context_end_in_diagnostics() {
     }
 }
 
+/// A program that sets `k` at run time and then runs `stmt` against
+/// `a(16)`: computed subscripts pass sema, so any range check happens
+/// during execution.
+fn computed_subscript_src(k: i64, stmt: &str) -> String {
+    format!(
+        "subroutine s\nreal :: a(16)\n!hpf$ processors p(4)\n\
+         !hpf$ distribute a(block) onto p\na = 1.0\nk = {k}\n{stmt}\nend"
+    )
+}
+
+/// Out-of-range subscripts of `a(16)`, each read and written.
+const OUT_OF_RANGE: [i64; 3] = [0, -3, 17];
+const SUBSCRIPT_STMTS: [&str; 2] = ["a(k) = 5.0", "x = a(k)"];
+
 #[test]
 fn computed_subscripts_out_of_range_are_typed_errors() {
     use hpfc::runtime::ExecError;
-    // Computed subscripts pass sema; at run time a read or a write
-    // outside 1:16 is an `OutOfBounds` error — never clamped onto
-    // `a(1)`, never a panic.
+    // At run time a read or a write outside 1:16 is an `OutOfBounds`
+    // error — never clamped onto `a(1)`, never a panic.
     let exec = |k: i64, stmt: &str| {
-        let src = format!(
-            "subroutine s\nreal :: a(16)\n!hpf$ processors p(4)\n\
-             !hpf$ distribute a(block) onto p\na = 1.0\nk = {k}\n{stmt}\nend"
-        );
+        let src = computed_subscript_src(k, stmt);
         let compiled = hpfc::compile(&src, &CompileOptions::default()).expect("compiles");
         hpfc::execute(&compiled.programs(), "s", ExecConfig::default())
     };
-    for k in [0i64, -3, 17] {
-        for stmt in ["a(k) = 5.0", "x = a(k)"] {
+    for k in OUT_OF_RANGE {
+        for stmt in SUBSCRIPT_STMTS {
             let err = exec(k, stmt).map(|_| ()).expect_err(stmt);
             assert_eq!(
                 err,
@@ -561,5 +575,28 @@ fn computed_subscripts_out_of_range_are_typed_errors() {
         let r = exec(k, "a(k) = 5.0\nx = a(k)").expect("in range");
         assert_eq!(r.scalars["x"], 5.0);
         assert_eq!(r.arrays["a"].iter().filter(|&&v| v == 5.0).count(), 1, "k = {k}");
+    }
+}
+
+#[test]
+fn compile_and_run_returns_execution_errors_instead_of_panicking() {
+    use hpfc::runtime::ExecError;
+    for k in OUT_OF_RANGE {
+        for stmt in SUBSCRIPT_STMTS {
+            let src = computed_subscript_src(k, stmt);
+            let err = compile_and_run(&src, &CompileOptions::default(), ExecConfig::default())
+                .map(|_| ())
+                .expect_err(stmt);
+            assert_eq!(
+                err,
+                RunError::Exec(ExecError::OutOfBounds {
+                    array: "a".into(),
+                    dim: 1,
+                    index: k,
+                    extent: 16
+                }),
+                "{stmt} with k = {k}"
+            );
+        }
     }
 }

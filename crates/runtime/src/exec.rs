@@ -24,21 +24,26 @@
 //!   every closed-form plan: rank-0 scalars become one single-element
 //!   unit per replica, and positions are `u64`, so no block is too
 //!   large;
-//! * **replay** ([`crate::VersionData::copy_values_from_program`],
-//!   every later copy): a loop of
-//!   `copy_from_slice` over the precompiled runs. No positions are
-//!   recomputed, nothing is allocated — the steady-state remap path
-//!   performs zero heap allocations (pinned by the counting-allocator
-//!   test `alloc_free.rs`).
+//! * **replay** (every later copy): a loop of `copy_from_slice` over
+//!   the precompiled runs. No positions are recomputed, nothing is
+//!   allocated — the steady-state remap path performs zero heap
+//!   allocations (pinned by the counting-allocator test
+//!   `alloc_free.rs`).
 //!
-//! # Parallel rounds
+//! # One round replay
 //!
 //! Units are grouped exactly like the [`crate::CommSchedule`]'s
 //! caterpillar rounds (plus one round-like group for the local,
-//! never-on-the-wire copies). Within a round every processor has at
-//! most one partner, so the round's receivers are pairwise distinct —
-//! each destination block is written by exactly one unit, and the round
-//! can be split across `std::thread::scope` workers without locks or
+//! never-on-the-wire copies). Every replay — a solo remap, a coalesced
+//! remap group, a bare [`crate::VersionData::copy_values_from_program`]
+//! — is one call of `replay_round` per round over a set of
+//! `Movers`: compiled programs bound to their (source, destination)
+//! version pairs, one for a solo copy, one per moving member for a
+//! group. The guarded replay of [`crate::fault`] calls the same routine
+//! inside its retry ladder. Within a round every processor has at most
+//! one partner, so a mover's receivers are pairwise distinct — each
+//! destination block is written by exactly one unit, and the round can
+//! be split across `std::thread::scope` workers without locks or
 //! aliasing ([`ExecMode::Parallel`]). The `HPFC_THREADS` environment
 //! variable picks the default mode ([`ExecMode::from_env`]); serial
 //! replay stays available so both engines are continuously tested.
@@ -49,8 +54,10 @@ use std::collections::BTreeMap;
 
 use hpfc_mapping::intervals::intersect_runs;
 
+use crate::group::GroupMember;
 use crate::redist::{DimContribution, RedistPlan};
 use crate::schedule::CommSchedule;
+use crate::status::version_pair;
 use crate::store::{LocalBlock, VersionData};
 
 /// How a [`CopyProgram`] replay runs the rounds.
@@ -421,67 +428,186 @@ impl CopyProgram {
     }
 
     /// Whether this program was compiled for exactly the
-    /// (`src`, `dst`) mapping pair — the guard
-    /// [`crate::VersionData::copy_values_from_program`] applies before
-    /// replaying (an allocation-free structural comparison).
+    /// (`src`, `dst`) mapping pair — the guard every replay applies
+    /// before trusting the program's positions (an allocation-free
+    /// structural comparison).
     pub fn compiled_for(&self, src: &VersionData, dst: &VersionData) -> bool {
         self.mappings.0 == src.mapping && self.mappings.1 == dst.mapping
     }
 
     /// Replay the program: move every precompiled run from `src`'s
-    /// blocks into `dst`'s. The caller guarantees `dst`/`src` are the
-    /// version pair the program was compiled for (checked by
+    /// blocks into `dst`'s — the one-mover, unguarded call of the round
+    /// replay (`replay_rounds`). The caller guarantees `dst`/`src` are
+    /// the version pair the program was compiled for (checked by
     /// [`CopyProgram::compiled_for`] in the public entry point).
     pub(crate) fn execute(&self, dst: &mut VersionData, src: &VersionData, mode: ExecMode) {
         debug_assert_eq!(dst.mapping.array_extents, src.mapping.array_extents);
-        match mode {
-            ExecMode::Parallel(t) if t > 1 => self.execute_parallel(dst, src, t),
-            _ => self.execute_serial(dst, src),
+        replay_rounds(std::slice::from_ref(self), &mut Movers::Pair(src, dst), mode.threads());
+    }
+}
+
+/// The version storage a remap's compiled programs replay between. A
+/// *mover* is one program (`progs[slot]` in the replay calls) bound to
+/// its (source, destination) version pair; a solo remap and a bare
+/// program replay have one mover, a coalesced remap group one per
+/// masked-in member.
+pub(crate) enum Movers<'a, 'm> {
+    /// One mover, slot 0.
+    Pair(&'a VersionData, &'a mut VersionData),
+    /// The members of a remap group (at most 64) whose bit is set in
+    /// the mask; the slot is the member index. Every mover's source and
+    /// target copy must be allocated (the group checks this before
+    /// replaying).
+    Group(&'a mut [GroupMember<'m>], u64),
+}
+
+impl Movers<'_, '_> {
+    /// `(slot count, mask of the slots that move)`.
+    pub(crate) fn mask(&self) -> (usize, u64) {
+        match self {
+            Movers::Pair(..) => (1, 1),
+            Movers::Group(members, mask) => (members.len(), *mask),
         }
     }
 
-    /// Serial replay — the allocation-free steady-state path.
-    fn execute_serial(&self, dst: &mut VersionData, src: &VersionData) {
-        for unit in self.local.iter().chain(self.rounds.iter().flatten()) {
-            let src_block =
-                src.blocks[unit.provider as usize].as_ref().expect("provider holds the data");
-            let dst_block = dst.blocks[unit.receiver as usize]
-                .as_mut()
-                .expect("receiver allocates the data");
-            replay_unit(&self.fams, &self.runs, *unit, src_block, dst_block);
-        }
-    }
-
-    /// Parallel replay: per round (local group first), pair each unit
-    /// with its receiver's block in one pass over the block table —
-    /// receivers within a round are pairwise distinct, so every `&mut`
-    /// handed to a worker is unique — then split the units into
-    /// `threads` contiguous chunks balanced by element count. Rounds
-    /// below [`PARALLEL_THRESHOLD`] elements replay inline
-    /// ([`round_goes_inline`]): a thread spawn costs tens of
-    /// microseconds, which only a round with real volume can amortize.
-    fn execute_parallel(&self, dst: &mut VersionData, src: &VersionData, threads: usize) {
-        for round in std::iter::once(&self.local).chain(self.rounds.iter()) {
-            if round.is_empty() {
-                continue;
-            }
-            let total: u64 = round.iter().map(|u| u.elements).sum();
-            if round_goes_inline(total) {
-                for unit in round {
-                    let src_block = src.blocks[unit.provider as usize]
-                        .as_ref()
-                        .expect("provider holds the data");
-                    let dst_block = dst.blocks[unit.receiver as usize]
-                        .as_mut()
-                        .expect("receiver allocates the data");
-                    replay_unit(&self.fams, &self.runs, *unit, src_block, dst_block);
+    /// Visit every mover's version pair, in slot order.
+    pub(crate) fn each<'r>(
+        &'r mut self,
+        mut f: impl FnMut(usize, &'r VersionData, &'r mut VersionData),
+    ) {
+        match self {
+            Movers::Pair(src, dst) => f(0, src, dst),
+            Movers::Group(members, mask) => {
+                for (i, m) in members.iter_mut().enumerate() {
+                    if *mask & (1 << i) != 0 {
+                        let (src, dst) = version_pair(&mut m.rt.copies, m.src, m.target)
+                            .expect("group movers' copies are checked before the replay");
+                        f(i, src, dst);
+                    }
                 }
-                continue;
             }
-            let mut paired: Vec<PairedUnit<'_>> = Vec::with_capacity(round.len());
-            pair_round_units(round, &self.fams, &self.runs, src, dst, &mut paired);
-            replay_chunked(paired, total, threads);
         }
+    }
+
+    /// Visit every mover's units of `round` (see [`round_units`]), cut
+    /// to the first `cut` units of the round, with its program and
+    /// version pair. Movers with no units left are skipped.
+    pub(crate) fn each_round<'r>(
+        &'r mut self,
+        progs: &'r [CopyProgram],
+        round: usize,
+        cut: usize,
+        mut f: impl FnMut(&'r CopyProgram, &'r [CopyUnit], &'r VersionData, &'r mut VersionData),
+    ) {
+        let mut units = round_units(progs, self.mask(), round, cut);
+        self.each(|_, src, dst| {
+            let (slot, us) = units.next().expect("one unit list per mover");
+            if !us.is_empty() {
+                f(&progs[slot], us, src, dst);
+            }
+        });
+    }
+}
+
+/// The movers' units of `round` — round 0 is the local group, round
+/// `r + 1` the program's wire round `r` — as `(slot, units)` in slot
+/// order, cut to the first `cut` units of the round's concatenated unit
+/// list. A fault on the round's shared wire buffer (truncation, a
+/// corrupted unit) indexes this concatenation, so it can land on any
+/// mover.
+pub(crate) fn round_units(
+    progs: &[CopyProgram],
+    movers: (usize, u64),
+    round: usize,
+    cut: usize,
+) -> impl Iterator<Item = (usize, &[CopyUnit])> {
+    let mut left = cut;
+    slots_of(movers).map(move |i| {
+        let p = &progs[i];
+        let all = match round {
+            0 => &p.local[..],
+            r => p.rounds.get(r - 1).map_or(&[][..], Vec::as_slice),
+        };
+        let take = all.len().min(left);
+        left -= take;
+        (i, &all[..take])
+    })
+}
+
+/// The slots of a `(slot count, mask)` mover set ([`Movers::mask`]).
+pub(crate) fn slots_of((slots, mask): (usize, u64)) -> impl Iterator<Item = usize> {
+    (0..slots).filter(move |i| mask & (1 << i) != 0)
+}
+
+/// Rounds the movers replay: the local group plus the longest mover's
+/// wire rounds (a group's member programs all share the merged count).
+pub(crate) fn n_rounds(progs: &[CopyProgram], movers: (usize, u64)) -> usize {
+    1 + slots_of(movers).map(|i| progs[i].rounds.len()).max().unwrap_or(0)
+}
+
+/// `(units, elements)` of one round across every mover, cut as in
+/// [`round_units`].
+pub(crate) fn round_load(
+    progs: &[CopyProgram],
+    movers: (usize, u64),
+    round: usize,
+    cut: usize,
+) -> (usize, u64) {
+    round_units(progs, movers, round, cut).fold((0, 0), |(n, w), (_, us)| {
+        (n + us.len(), w + us.iter().map(|u| u.elements).sum::<u64>())
+    })
+}
+
+/// Replay every round of every mover, unguarded: the allocation-free
+/// fast path when `threads == 1` or every round is below the inline
+/// threshold.
+pub(crate) fn replay_rounds(progs: &[CopyProgram], movers: &mut Movers<'_, '_>, threads: usize) {
+    let mask = movers.mask();
+    for round in 0..n_rounds(progs, mask) {
+        let (units, weight) = round_load(progs, mask, round, usize::MAX);
+        if units > 0 {
+            replay_round(progs, movers, round, units, weight, threads, None);
+        }
+    }
+}
+
+/// The one round replay: move the first `cut` units of round `round`
+/// (`weight` elements) of every mover. Rounds below
+/// [`PARALLEL_THRESHOLD`] elements, and every round when `threads` is
+/// 1, replay inline ([`round_goes_inline`]): a thread spawn costs tens
+/// of microseconds, which only a round with real volume can amortize.
+/// Otherwise each unit is paired with its receiving block — receivers
+/// are distinct within a mover's round (caterpillar contention-freedom)
+/// and across movers (each writes its own array's storage) — and the
+/// pool is split across scoped workers (`replay_chunked`, whose
+/// `panic_chunk` hook injects a worker panic).
+pub(crate) fn replay_round(
+    progs: &[CopyProgram],
+    movers: &mut Movers<'_, '_>,
+    round: usize,
+    cut: usize,
+    weight: u64,
+    threads: usize,
+    panic_chunk: Option<usize>,
+) {
+    if threads > 1 && !round_goes_inline(weight) {
+        let mut paired: Vec<PairedUnit<'_>> = Vec::with_capacity(cut);
+        movers.each_round(progs, round, cut, |p, units, src, dst| {
+            pair_round_units(units, &p.fams, &p.runs, src, dst, &mut paired)
+        });
+        replay_chunked(paired, weight, threads, panic_chunk);
+    } else {
+        movers.each_round(progs, round, cut, |p, units, src, dst| {
+            for unit in units {
+                let sb = src.blocks[unit.provider as usize]
+                    .as_ref()
+                    .expect("provider holds the data");
+                let db = dst.blocks[unit.receiver as usize]
+                    .as_mut()
+                    .expect("receiver allocates the data");
+                replay_unit(&p.fams, &p.runs, *unit, sb, db);
+            }
+        });
     }
 }
 
@@ -526,10 +652,20 @@ pub(crate) fn pair_round_units<'a>(
 /// (`total` elements across `threads` workers) and replay each chunk
 /// on a scoped worker thread. Receivers are pairwise distinct across
 /// the whole `paired` list by construction, so no locks are needed.
-pub(crate) fn replay_chunked(paired: Vec<PairedUnit<'_>>, total: u64, threads: usize) {
+/// When `panic_chunk` is `Some(i)`, the worker running chunk `i` panics
+/// halfway through its units (the `WorkerPanic` fault):
+/// `std::thread::scope` propagates that panic at join, where the
+/// guarded replay catches it and degrades the round.
+pub(crate) fn replay_chunked(
+    paired: Vec<PairedUnit<'_>>,
+    total: u64,
+    threads: usize,
+    panic_chunk: Option<usize>,
+) {
     let target = total.div_ceil(threads as u64).max(1);
     std::thread::scope(|scope| {
         let mut rest = paired;
+        let mut idx = 0usize;
         while !rest.is_empty() {
             let mut weight = 0u64;
             let mut take = 0usize;
@@ -539,11 +675,17 @@ pub(crate) fn replay_chunked(paired: Vec<PairedUnit<'_>>, total: u64, threads: u
             }
             let tail = rest.split_off(take);
             let chunk = std::mem::replace(&mut rest, tail);
+            let boom = panic_chunk == Some(idx);
             scope.spawn(move || {
-                for (db, sb, unit, fams, runs) in chunk {
+                let half = chunk.len() / 2;
+                for (i, (db, sb, unit, fams, runs)) in chunk.into_iter().enumerate() {
+                    if boom && i == half {
+                        std::panic::panic_any(crate::fault::InjectedPanic);
+                    }
                     replay_unit(fams, runs, unit, sb, db);
                 }
             });
+            idx += 1;
         }
     });
 }
@@ -604,9 +746,10 @@ pub(crate) const PARALLEL_THRESHOLD: u64 = 1 << 15;
 
 /// The one inline-vs-parallel decision: a round of `total` elements
 /// replays inline iff it is strictly below [`PARALLEL_THRESHOLD`].
-/// Every round dispatcher — the solo and group replays, guarded and
-/// unguarded — routes through this predicate, so a round of exactly
-/// threshold size takes the same engine everywhere.
+/// The round replay (`replay_round`) and the fault plan's choice of
+/// which rounds a worker panic can hit both route through this
+/// predicate, so a round of exactly threshold size takes the same
+/// engine everywhere.
 #[inline]
 pub(crate) fn round_goes_inline(total: u64) -> bool {
     total < PARALLEL_THRESHOLD
@@ -979,45 +1122,6 @@ pub(crate) fn flip_unit_word(
         }
     }
     false
-}
-
-/// [`replay_chunked`], with fault-injection hooks: when `panic_chunk`
-/// is `Some(i)`, the worker running chunk `i` panics halfway through
-/// its units (the `WorkerPanic` fault) — `std::thread::scope`
-/// propagates that panic to the caller at join, where the guarded
-/// replay catches it with `catch_unwind` and degrades the round.
-pub(crate) fn replay_chunked_guarded(
-    paired: Vec<PairedUnit<'_>>,
-    total: u64,
-    threads: usize,
-    panic_chunk: Option<usize>,
-) {
-    let target = total.div_ceil(threads as u64).max(1);
-    std::thread::scope(|scope| {
-        let mut rest = paired;
-        let mut idx = 0usize;
-        while !rest.is_empty() {
-            let mut weight = 0u64;
-            let mut take = 0usize;
-            while take < rest.len() && (take == 0 || weight < target) {
-                weight += rest[take].2.elements;
-                take += 1;
-            }
-            let tail = rest.split_off(take);
-            let chunk = std::mem::replace(&mut rest, tail);
-            let boom = panic_chunk == Some(idx);
-            scope.spawn(move || {
-                let half = chunk.len() / 2;
-                for (i, (db, sb, unit, fams, runs)) in chunk.into_iter().enumerate() {
-                    if boom && i == half {
-                        std::panic::panic_any(crate::fault::InjectedPanic);
-                    }
-                    replay_unit(fams, runs, unit, sb, db);
-                }
-            });
-            idx += 1;
-        }
-    });
 }
 
 #[cfg(test)]

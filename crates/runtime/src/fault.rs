@@ -23,29 +23,30 @@
 //!   words ([`ValidationLevel::Checksums`]), and a compile-time
 //!   fingerprint over every cached program's triples
 //!   ([`crate::CopyProgram::integrity_ok`]).
-//! * **Recovery** — the ladder in `remap_guarded` / `remap_group`:
-//!   bounded retry of the failed round → recompile the program from the
-//!   cached plan (and repair the cache entry) → a typed
-//!   [`ExecError::Unrecovered`], with the destination rolled back
+//! * **Recovery** — one driver for every remap, solo or grouped
+//!   (`replay_with_recovery`, over the same movers as the unguarded
+//!   replay): check shapes, program fingerprints and blocks, then
+//!   bounded retry of a failed round → recompile the programs from the
+//!   cached plans (the caller repairs its cache entry) → a typed
+//!   [`ExecError::Unrecovered`], with every destination rolled back
 //!   byte-identically by the caller's transaction. Worker panics are
 //!   caught with `catch_unwind` and degrade `Parallel(t)` → `Serial`
 //!   for that round only.
 //!
 //! When no faults are configured and validation is
 //! [`ValidationLevel::Off`], none of this is on the remap path: the
-//! cached bounce takes the exact pre-existing unguarded replay
+//! driver goes straight to the unguarded round replay
 //! (allocation-free, pinned by `alloc_free.rs` and the
 //! `redist/fault_overhead` bench).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::exec::{
-    flip_unit_word, mix64, pair_round_units, replay_chunked_guarded, replay_unit, unit_dst_sum,
-    unit_src_sum, CopyProgram, CopyRun, CopyUnit, ExecMode,
+    flip_unit_word, mix64, n_rounds, replay_round, replay_rounds, round_goes_inline, round_load,
+    round_units, slots_of, unit_dst_sum, unit_n_runs, unit_src_sum, CopyProgram, ExecMode,
+    Movers,
 };
 use crate::machine::Machine;
-use crate::status::PlannedRemap;
-use crate::store::VersionData;
 
 /// One injectable fault class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -426,7 +427,7 @@ pub(crate) fn poison_program(p: &mut CopyProgram) {
 
 /// How one guarded round replay failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RoundFailure {
+enum RoundFailure {
     /// Checksum mismatch between words read and words written.
     Mismatch,
     /// The replay (or one of its workers) panicked.
@@ -435,13 +436,13 @@ pub(crate) enum RoundFailure {
 
 /// Per-round facts the retry ladder needs to pick applicable faults
 /// and validate conservation.
-pub(crate) struct RoundCtx {
+struct RoundCtx {
     /// Planned elements of the round (sum of its units' elements).
-    pub expected: u64,
+    expected: u64,
     /// Number of units in the round.
-    pub units: usize,
+    units: usize,
     /// Round number for fault hashing (0 = the local group).
-    pub round_no: u32,
+    round_no: u32,
 }
 
 /// Bound on replay attempts per round (1 initial + retries +
@@ -454,7 +455,7 @@ const MAX_ROUND_ATTEMPTS: u32 = 4;
 fn applicable(kind: FaultKind, mode: ExecMode, ctx: &RoundCtx) -> bool {
     match kind {
         FaultKind::WorkerPanic => {
-            mode.threads() > 1 && !crate::exec::round_goes_inline(ctx.expected) && ctx.units > 0
+            mode.threads() > 1 && !round_goes_inline(ctx.expected) && ctx.units > 0
         }
         FaultKind::CorruptRound | FaultKind::TruncateRound | FaultKind::DropRound => {
             ctx.expected > 0 && ctx.units > 0
@@ -464,19 +465,19 @@ fn applicable(kind: FaultKind, mode: ExecMode, ctx: &RoundCtx) -> bool {
     }
 }
 
-/// The per-round rungs of the recovery ladder, shared by the solo and
-/// group replays: decide an injected fault, run the round through
-/// `replay`, validate counts, and on failure degrade a panicked
-/// parallel round to serial or retry (bounded). Returns the round's
-/// `(runs, elements)` on success, `Err(())` when the round is stuck
-/// (the caller escalates: recompile, then a typed error).
-pub(crate) fn run_round_ladder(
+/// The per-round rungs of the recovery ladder: decide an injected
+/// fault, run the round through `replay` (which returns the elements it
+/// delivered), validate counts, and on failure degrade a panicked
+/// parallel round to serial or retry (bounded). `Err(())` means the
+/// round is stuck (the caller escalates: recompile, then a typed
+/// error).
+fn run_round_ladder(
     machine: &mut Machine,
     ctx: &RoundCtx,
     epoch: u64,
     stream: u32,
-    mut replay: impl FnMut(ExecMode, bool, Option<(FaultKind, u64)>) -> Result<(u64, u64), RoundFailure>,
-) -> Result<(u64, u64), ()> {
+    mut replay: impl FnMut(ExecMode, bool, Option<(FaultKind, u64)>) -> Result<u64, RoundFailure>,
+) -> Result<(), ()> {
     let mut mode = machine.exec_mode;
     let checksums = machine.validation == ValidationLevel::Checksums;
     let counts = machine.validation >= ValidationLevel::Counts;
@@ -494,11 +495,10 @@ pub(crate) fn run_round_ladder(
         if fault.is_some() {
             machine.stats.faults_injected += 1;
         }
-        let outcome = replay(mode, checksums, fault);
-        let failure = match outcome {
-            Ok((runs, elements)) => {
+        let failure = match replay(mode, checksums, fault) {
+            Ok(elements) => {
                 if !exhaust && (!counts || elements == ctx.expected) {
-                    return Ok((runs, elements));
+                    return Ok(());
                 }
                 None // short round (or forced exhaustion): rejected
             }
@@ -517,198 +517,197 @@ pub(crate) fn run_round_ladder(
     }
 }
 
-/// Replay one round of a solo program under the guarded regime:
-/// apply wire-loss faults to the unit list, catch panics from the copy
-/// phase, scribble the corruption victim, and verify checksums.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-pub(crate) fn replay_round_guarded(
-    fams: &[crate::exec::StrideFamily],
-    runs: &[CopyRun],
-    units: &[CopyUnit],
-    src: &VersionData,
-    dst: &mut VersionData,
+/// One guarded attempt at one round: apply wire-loss faults to the
+/// round's concatenated unit list (a drop replays none of it, a
+/// truncation its first half), replay the rest through the one round
+/// replay with panics caught, scribble the corruption victim (picked by
+/// its index in the concatenation, so it can be any mover's unit), and
+/// verify checksums. Returns the elements delivered.
+fn replay_attempt(
+    progs: &[CopyProgram],
+    movers: &mut Movers<'_, '_>,
+    round: usize,
+    cut: usize,
     mode: ExecMode,
     checksums: bool,
     fault: Option<(FaultKind, u64)>,
-) -> Result<(u64, u64), RoundFailure> {
-    let effective: &[CopyUnit] = match fault {
-        Some((FaultKind::DropRound, _)) => &[],
-        Some((FaultKind::TruncateRound, _)) => &units[..units.len() / 2],
-        _ => units,
-    };
-    let weight: u64 = effective.iter().map(|u| u.elements).sum();
-    let copied = catch_unwind(AssertUnwindSafe(|| {
-        if mode.threads() > 1 && !crate::exec::round_goes_inline(weight) {
-            let mut paired = Vec::with_capacity(effective.len());
-            pair_round_units(effective, fams, runs, src, dst, &mut paired);
-            let boom = matches!(fault, Some((FaultKind::WorkerPanic, _))).then_some(0);
-            replay_chunked_guarded(paired, weight, mode.threads(), boom);
-        } else {
-            for unit in effective {
+) -> Result<u64, RoundFailure> {
+    let (_, weight) = round_load(progs, movers.mask(), round, cut);
+    let boom = matches!(fault, Some((FaultKind::WorkerPanic, _))).then_some(0);
+    catch_unwind(AssertUnwindSafe(|| {
+        replay_round(progs, movers, round, cut, weight, mode.threads(), boom)
+    }))
+    .map_err(|_| RoundFailure::Panicked)?;
+    if let Some((FaultKind::CorruptRound, salt)) = fault {
+        let mut victim = Some((salt % cut as u64) as usize);
+        movers.each_round(progs, round, cut, |p, units, _, dst| {
+            let Some(v) = victim else { return };
+            if let Some(unit) = units.get(v) {
+                let db = dst.blocks[unit.receiver as usize]
+                    .as_mut()
+                    .expect("receiver allocates the data");
+                flip_unit_word(&p.fams, &p.runs, *unit, db);
+                victim = None;
+            } else {
+                victim = Some(v - units.len());
+            }
+        });
+    }
+    if checksums {
+        let (mut read, mut written) = (0u64, 0u64);
+        movers.each_round(progs, round, cut, |p, units, src, dst| {
+            for unit in units {
                 let sb = src.blocks[unit.provider as usize]
                     .as_ref()
                     .expect("provider holds the data");
                 let db = dst.blocks[unit.receiver as usize]
-                    .as_mut()
+                    .as_ref()
                     .expect("receiver allocates the data");
-                replay_unit(fams, runs, *unit, sb, db);
+                read = read.wrapping_add(unit_src_sum(&p.fams, &p.runs, *unit, sb));
+                written = written.wrapping_add(unit_dst_sum(&p.fams, &p.runs, *unit, db));
             }
-        }
-    }));
-    if copied.is_err() {
-        return Err(RoundFailure::Panicked);
-    }
-    if let Some((FaultKind::CorruptRound, salt)) = fault {
-        if !effective.is_empty() {
-            let victim = effective[(salt % effective.len() as u64) as usize];
-            let db = dst.blocks[victim.receiver as usize]
-                .as_mut()
-                .expect("receiver allocates the data");
-            flip_unit_word(fams, runs, victim, db);
-        }
-    }
-    if checksums {
-        let mut read = 0u64;
-        let mut written = 0u64;
-        for unit in effective {
-            let sb =
-                src.blocks[unit.provider as usize].as_ref().expect("provider holds the data");
-            let db =
-                dst.blocks[unit.receiver as usize].as_ref().expect("receiver allocates the data");
-            read = read.wrapping_add(unit_src_sum(fams, runs, *unit, sb));
-            written = written.wrapping_add(unit_dst_sum(fams, runs, *unit, db));
-        }
+        });
         if read != written {
             return Err(RoundFailure::Mismatch);
         }
     }
-    let n_runs: u64 =
-        effective.iter().map(|u| crate::exec::unit_n_runs(fams, *u)).sum();
-    Ok((n_runs, weight))
+    Ok(weight)
 }
 
-/// All rounds of one solo program under the guarded regime. `stream`
-/// separates the fault-decision stream of the original program from a
-/// recompiled one's (so a full re-replay after recompilation rolls
-/// fresh decisions).
-fn replay_rounds_guarded(
+/// Every round of every mover under the guarded regime, each through
+/// the retry ladder. `tally[slot]` receives the `(runs, elements)` the
+/// authoritative (final successful) attempt of every round delivered
+/// for that mover. `stream` separates the fault-decision stream of the
+/// original programs from recompiled ones' (so a full re-replay after
+/// recompilation rolls fresh decisions).
+fn replay_guarded(
     machine: &mut Machine,
-    prog: &CopyProgram,
-    src: &VersionData,
-    dst: &mut VersionData,
+    progs: &[CopyProgram],
+    movers: &mut Movers<'_, '_>,
     epoch: u64,
     stream: u32,
-) -> Result<(u64, u64), ()> {
-    let mut total_runs = 0u64;
-    let mut total_elements = 0u64;
-    for (ri, units) in
-        std::iter::once(&prog.local).chain(prog.rounds.iter()).enumerate()
-    {
-        if units.is_empty() {
+    tally: &mut [(u64, u64)],
+) -> Result<(), ()> {
+    let mask = movers.mask();
+    tally.fill((0, 0));
+    for round in 0..n_rounds(progs, mask) {
+        let (units, expected) = round_load(progs, mask, round, usize::MAX);
+        if units == 0 {
             continue;
         }
-        let ctx = RoundCtx {
-            expected: units.iter().map(|u| u.elements).sum(),
-            units: units.len(),
-            round_no: ri as u32,
-        };
-        let (r, e) = run_round_ladder(machine, &ctx, epoch, stream, |mode, checksums, fault| {
-            replay_round_guarded(&prog.fams, &prog.runs, units, src, dst, mode, checksums, fault)
+        let ctx = RoundCtx { expected, units, round_no: round as u32 };
+        let mut cut = units;
+        run_round_ladder(machine, &ctx, epoch, stream, |mode, checksums, fault| {
+            cut = match fault {
+                Some((FaultKind::DropRound, _)) => 0,
+                Some((FaultKind::TruncateRound, _)) => units / 2,
+                _ => units,
+            };
+            replay_attempt(progs, movers, round, cut, mode, checksums, fault)
         })?;
-        total_runs += r;
-        total_elements += e;
-    }
-    Ok((total_runs, total_elements))
-}
-
-/// Every block a program references must exist before the replay
-/// starts — the promoted form of the replay's `expect`s, returned as a
-/// typed error instead of a panic.
-fn validate_blocks(
-    prog: &CopyProgram,
-    src: &VersionData,
-    dst: &mut VersionData,
-) -> Result<(), ExecError> {
-    for unit in prog.local.iter().chain(prog.rounds.iter().flatten()) {
-        if src.blocks[unit.provider as usize].is_none() {
-            return Err(ExecError::MissingBlock { rank: unit.provider, side: "provider" });
-        }
-        if dst.blocks[unit.receiver as usize].is_none() {
-            return Err(ExecError::MissingBlock { rank: unit.receiver, side: "receiver" });
+        for (slot, us) in round_units(progs, mask, round, cut) {
+            tally[slot].0 += us.iter().map(|u| unit_n_runs(&progs[slot].fams, *u)).sum::<u64>();
+            tally[slot].1 += us.iter().map(|u| u.elements).sum::<u64>();
         }
     }
     Ok(())
 }
 
-/// What a recovered solo replay hands back to `remap_guarded`.
-pub(crate) struct ReplayOutcome {
-    /// Runs the authoritative copy replayed.
-    pub runs: u64,
-    /// Elements the authoritative copy delivered.
-    pub elements: u64,
-    /// A freshly compiled program, when the ladder recompiled — the
-    /// caller repairs the plan-cache entry with it.
-    pub repaired: Option<CopyProgram>,
-}
-
-/// The solo recovery ladder: replay `planned`'s data movement from
-/// `src` into `dst`, healing injected or real faults.
+/// The one recovery driver: replay `cached[slot]` for every mover,
+/// healing injected or real faults. `tally[slot]` receives each
+/// mover's delivered `(runs, elements)`; `recompile` rebuilds every
+/// slot's program from the cached plans. Returns the recompiled
+/// programs when the ladder used them — the caller may repair its
+/// cache with them.
 ///
-/// Rungs: (1) bounded retry of a failed round (worker panics degrade
-/// the round to serial first); (2) recompile the program from the
-/// cached plan and re-replay (idempotent: every destination position is
-/// rewritten); then a typed [`ExecError::Unrecovered`] — the caller's
-/// transaction restores the partially written destination. When no
-/// faults are configured and validation is off, this is exactly the
-/// unguarded replay (the allocation-free fast path).
+/// With no faults configured, validation off and every program compiled
+/// for its version pair, this is the unguarded round replay (the
+/// allocation-free fast path). Otherwise it checks shapes, then
+/// recompiles a foreign or fingerprint-failing program (rung 2 straight
+/// away), checks that every referenced block exists, and replays every
+/// round through the retry ladder (rung 1: bounded retry, worker panics
+/// degrade the round to serial first). A stuck round escalates to one
+/// recompile and a full re-replay (idempotent: every destination
+/// position is rewritten), then to a typed [`ExecError::Unrecovered`] —
+/// the caller's transaction restores the partially written
+/// destinations.
 pub(crate) fn replay_with_recovery(
     machine: &mut Machine,
-    planned: &PlannedRemap,
-    src: &VersionData,
-    dst: &mut VersionData,
+    cached: &[CopyProgram],
+    recompile: impl Fn() -> Option<Vec<CopyProgram>>,
+    movers: &mut Movers<'_, '_>,
     epoch: u64,
-) -> Result<ReplayOutcome, ExecError> {
-    let guarded = machine.faults.is_some() || machine.validation != ValidationLevel::Off;
-    if !guarded {
-        let (runs, elements) =
-            dst.copy_values_from_program(src, &planned.program, machine.exec_mode);
-        return Ok(ReplayOutcome { runs, elements, repaired: None });
+    tally: &mut [(u64, u64)],
+) -> Result<Option<Vec<CopyProgram>>, ExecError> {
+    let fits = |progs: &[CopyProgram], movers: &mut Movers<'_, '_>| {
+        let mut ok = true;
+        movers.each(|slot, src, dst| ok &= progs[slot].compiled_for(src, dst));
+        ok
+    };
+    if !machine.guarded() && fits(cached, movers) {
+        replay_rounds(cached, movers, machine.exec_mode.threads());
+        for slot in slots_of(movers.mask()) {
+            tally[slot] = (cached[slot].n_runs(), cached[slot].n_elements());
+        }
+        return Ok(None);
     }
-    if src.mapping.array_extents != dst.mapping.array_extents {
-        return Err(ExecError::ShapeMismatch {
-            src: format!("{:?}", src.mapping.array_extents),
-            dst: format!("{:?}", dst.mapping.array_extents),
-        });
+    let mut mismatch = None;
+    movers.each(|_, src, dst| {
+        if mismatch.is_none() && src.mapping.array_extents != dst.mapping.array_extents {
+            mismatch = Some(ExecError::ShapeMismatch {
+                src: format!("{:?}", src.mapping.array_extents),
+                dst: format!("{:?}", dst.mapping.array_extents),
+            });
+        }
+    });
+    if let Some(e) = mismatch {
+        return Err(e);
     }
     if machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch)) {
         machine.stats.faults_injected += 1;
     }
     let unrecovered =
         |why: &str| ExecError::Unrecovered { context: format!("remap epoch {epoch}: {why}") };
-    // Rung 2, as a function: a fresh program from the cached plan.
-    let recompile = |machine: &mut Machine, dst: &VersionData| {
+    // Rung 2, as a function: fresh programs from the cached plans.
+    let recompile = |machine: &mut Machine, movers: &mut Movers<'_, '_>| {
         machine.stats.programs_recompiled += 1;
-        CopyProgram::try_compile(&planned.plan, &planned.schedule)
-            .filter(|p| p.compiled_for(src, dst))
+        recompile()
+            .filter(|p| fits(p, movers))
             .ok_or_else(|| unrecovered("the cached plan does not compile for this version pair"))
     };
-    let cached = &planned.program;
     let mut repaired = None;
-    if !cached.compiled_for(src, dst) || !cached.integrity_ok() {
+    if !fits(cached, movers) || !cached.iter().all(CopyProgram::integrity_ok) {
         // Poisoned (or foreign) cached program: rung 2 straight away.
-        repaired = Some(recompile(machine, dst)?);
+        repaired = Some(recompile(machine, movers)?);
     }
-    let prog = repaired.as_ref().unwrap_or(cached);
-    validate_blocks(prog, src, dst)?;
-    let mut replayed = replay_rounds_guarded(machine, prog, src, dst, epoch, 0);
+    let progs = repaired.as_deref().unwrap_or(cached);
+    // Every block a program references must exist before the replay
+    // starts — the promoted form of the replay's `expect`s.
+    let mut missing = None;
+    movers.each(|slot, src, dst| {
+        let p = &progs[slot];
+        for unit in p.local.iter().chain(p.rounds.iter().flatten()) {
+            if missing.is_some() {
+                return;
+            }
+            if src.blocks[unit.provider as usize].is_none() {
+                missing = Some(ExecError::MissingBlock { rank: unit.provider, side: "provider" });
+            } else if dst.blocks[unit.receiver as usize].is_none() {
+                missing = Some(ExecError::MissingBlock { rank: unit.receiver, side: "receiver" });
+            }
+        }
+    });
+    if let Some(e) = missing {
+        return Err(e);
+    }
+    let mut replayed = replay_guarded(machine, progs, movers, epoch, 0, tally);
     if replayed.is_err() && repaired.is_none() {
-        let fresh = recompile(machine, dst)?;
-        replayed = replay_rounds_guarded(machine, &fresh, src, dst, epoch, 1);
+        let fresh = recompile(machine, movers)?;
+        replayed = replay_guarded(machine, &fresh, movers, epoch, 1, tally);
         repaired = Some(fresh);
     }
-    let (runs, elements) =
-        replayed.map_err(|()| unrecovered("retry and recompile left a round unhealed"))?;
-    Ok(ReplayOutcome { runs, elements, repaired })
+    replayed.map_err(|()| unrecovered("retry and recompile left a round unhealed"))?;
+    Ok(repaired)
 }
 
 #[cfg(test)]

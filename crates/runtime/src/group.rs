@@ -15,32 +15,33 @@
 //! the exact compile-time-planned copy is the one the runtime would
 //! perform (current status is the planned source, target copy not
 //! live). Members that would not move data (status noop, live-copy
-//! reuse, partial-impact skip, first instantiation) are executed as
-//! ordinary [`ArrayRt::remap_guarded`] no-ops and **masked out** of the
-//! accounting — the coalesced wire buffers simply shrink — while the
-//! remaining movers are costed over the merged rounds
-//! ([`CommSchedule::round_triples_masked`]) and replayed round by round
-//! from the group's compiled [`GroupCopyProgram`]. The replay is
-//! allocation-free in steady state (same contract as a solo cached
-//! remap) and safe under [`ExecMode::Parallel`]: within a merged round,
-//! every receiving *block* is written by exactly one unit — receivers
-//! are distinct per member, and different members write different
-//! arrays' storage.
+//! reuse, partial-impact skip, first instantiation) remap on their own
+//! and are **masked out** of the accounting — the coalesced wire
+//! buffers simply shrink — while the remaining movers are costed over
+//! the merged rounds ([`CommSchedule::round_triples_masked`]) and
+//! replayed round by round from the group's compiled
+//! [`GroupCopyProgram`].
+//!
+//! A solo remap is the one-member case of the same machinery: one
+//! transaction (`transact`), one recovery driver
+//! ([`crate::fault`]), one round replay (`exec::replay_round`),
+//! called with one mover for a solo remap and with the masked members
+//! for a group. The replay is allocation-free in steady state and safe
+//! under [`crate::ExecMode::Parallel`]: within a merged round, every
+//! receiving *block* is written by exactly one unit — receivers are
+//! distinct per member, and different members write different arrays'
+//! storage.
 
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::exec::{flip_unit_word, pair_round_units, replay_chunked, replay_chunked_guarded,
-                  replay_unit, unit_dst_sum, unit_src_sum, CopyProgram, CopyUnit, ExecMode,
-                  round_goes_inline, unit_n_runs, GroupCopyProgram, PairedUnit};
-use crate::fault::{poison_program, run_round_ladder, ExecError, FaultKind, RoundCtx,
-                   RoundFailure, ValidationLevel};
+use crate::exec::{GroupCopyProgram, Movers};
+use crate::fault::{poison_program, ExecError};
 use crate::machine::Machine;
 use crate::redist::RedistPlan;
 use crate::schedule::CommSchedule;
-use crate::status::{ArrayRt, PlannedRemap};
-use crate::store::VersionData;
+use crate::status::{version_pair, ArrayRt, PlannedRemap};
+use crate::store::TxnScratch;
 
 /// The compile-time artifact of one directive's remap group: the
 /// members' solo plans (shared `Arc`s with each member's own
@@ -116,9 +117,9 @@ impl<'a> GroupMember<'a> {
 /// caterpillar rounds (each communicating pair pays one latency per
 /// round, not one per array), one round-by-round replay of the group
 /// copy program. All other members (and every member, if fewer than two
-/// would move data) go through [`ArrayRt::remap_guarded`] — with their
-/// solo plan seeded into the array's cache first, so even the fallback
-/// never plans at run time.
+/// would move data) remap on their own, exactly like
+/// [`ArrayRt::remap_guarded`] — with their solo plan seeded into the
+/// array's cache first, so even the fallback never plans at run time.
 ///
 /// `members` must be in group order (matching `planned.members`).
 /// Groups larger than 64 members never coalesce (the mover mask is a
@@ -140,18 +141,13 @@ pub fn remap_group(
 /// panicking: a member-count mismatch with the planned group and any
 /// unrecoverable member remap surface as errors. With faults or
 /// validation configured on the machine, the coalesced replay runs
-/// through the same recovery ladder as a solo remap (retry failed
+/// through the same recovery driver as a solo remap (retry failed
 /// rounds → recompile the group program → typed error), with worker
 /// panics degrading the round to serial.
 ///
-/// **Atomic**: the group commits all members or none. On the guarded
-/// path a rollback record is captured per member before anything
-/// executes, liveness cleaning is deferred until
-/// every member committed (cleaning frees copies a rollback could not
-/// restore), and any member's terminal error rolls *every* member —
-/// already-replayed siblings included — back to its byte-identical
-/// pre-group state before the error surfaces
-/// (`NetStats::group_rollbacks`).
+/// **Atomic**: the group commits all members or none — see
+/// `transact`, the one remap transaction, which a solo remap also
+/// runs as a one-member group.
 pub fn try_remap_group(
     machine: &mut Machine,
     members: &mut [GroupMember<'_>],
@@ -171,519 +167,163 @@ pub fn try_remap_group(
         m.rt.seed_plan_shared(machine, m.src, m.target, Arc::clone(&planned.members[i]));
     }
     let mut mask = 0u64;
-    let mut movers = 0usize;
     if members.len() <= 64 {
         for (i, m) in members.iter().enumerate() {
             if m.moves_data() {
                 mask |= 1 << i;
-                movers += 1;
             }
         }
     }
-    if movers < 2 {
-        // The members fall back to solo remaps, whose write sets the
-        // group program does not describe: capture full blocks instead.
-        mask = 0;
+    if mask.count_ones() < 2 {
+        mask = 0; // nothing to coalesce: every member remaps on its own
     }
-    let guarded = machine.faults.is_some() || machine.validation != ValidationLevel::Off;
-    // Phase 1 (guarded path only): capture every member's rollback
-    // record before anything executes. Movers are bounded by their
-    // member program's destination runs; everyone else saves full
-    // destination blocks (their remaps are no-ops or solo fallbacks).
-    let mut snaps = std::mem::take(&mut machine.group_txn_scratch);
+    transact(machine, members, |machine, members, snaps| {
+        remap_group_body(machine, members, planned, mask, snaps)
+    })
+}
+
+/// The one remap transaction, run by every remap group and by every
+/// solo remap as a one-member group: the members commit all together
+/// or not at all.
+///
+/// On the guarded path each member's array state (status, live flags,
+/// whether the target copy exists) is recorded before anything
+/// executes, and each mover adds the destination bytes its replay
+/// overwrites right before replaying. Liveness cleaning is deferred
+/// until every member committed (cleaning frees copies a rollback could
+/// not restore), and any member's terminal error rolls *every* member —
+/// already-replayed siblings included — back to its byte-identical
+/// pre-remap state before the error surfaces (`NetStats::rollbacks`).
+/// The unguarded path captures nothing: with no faults injected and no
+/// validation demanded, its replay cannot fail after writes begin.
+pub(crate) fn transact<'m, T>(
+    machine: &mut Machine,
+    members: &mut [GroupMember<'m>],
+    body: impl FnOnce(
+        &mut Machine,
+        &mut [GroupMember<'m>],
+        Option<&mut [TxnScratch]>,
+    ) -> Result<T, ExecError>,
+) -> Result<T, ExecError> {
+    let guarded = machine.guarded();
+    let mut snaps = std::mem::take(&mut machine.txn_scratch);
     if guarded {
         if snaps.len() < members.len() {
             snaps.resize_with(members.len(), Default::default);
         }
-        for (i, m) in members.iter().enumerate() {
-            let program = (mask & (1 << i) != 0).then(|| &planned.program.members[i]);
-            snaps[i].capture(
-                m.rt.status,
-                &m.rt.live,
-                m.rt.copies[m.target as usize].is_some(),
-                m.rt.copies[m.src as usize].as_ref(),
-                m.rt.copies[m.target as usize].as_ref(),
-                program,
-            );
+        for (s, m) in snaps.iter_mut().zip(members.iter()) {
+            s.begin(m.rt.status, &m.rt.live, m.rt.copies[m.target as usize].is_some());
         }
     }
-    // Phase 2: execute with cleaning deferred, then commit or roll
-    // back the whole group.
-    match remap_group_body(machine, members, planned, mask, movers) {
-        Ok(n) => {
-            for s in snaps.iter_mut() {
-                s.captured = false;
-            }
-            machine.group_txn_scratch = snaps;
-            // Every member committed: now (and only now) clean — a
-            // freed copy cannot be restored by any rollback.
+    let armed = if guarded { Some(&mut snaps[..members.len()]) } else { None };
+    let out = body(machine, members, armed);
+    match &out {
+        Ok(_) => {
             for m in members.iter_mut() {
                 m.rt.clean_copies(machine, m.target, m.may_live);
             }
-            Ok(n)
         }
-        Err(e) => {
-            if guarded {
-                machine.stats.group_rollbacks += 1;
-                for (i, m) in members.iter_mut().enumerate().rev() {
-                    m.rt.rollback_remap(machine, m.target, &mut snaps[i]);
-                }
+        Err(_) if guarded => {
+            machine.stats.rollbacks += 1;
+            for (m, s) in members.iter_mut().zip(snaps.iter_mut()).rev() {
+                m.rt.rollback_remap(machine, m.target, s);
             }
-            machine.group_txn_scratch = snaps;
-            Err(e)
         }
+        Err(_) => {}
     }
+    for s in snaps.iter_mut() {
+        s.captured = false;
+    }
+    machine.txn_scratch = snaps;
+    out
 }
 
-/// The execution half of [`try_remap_group`], with liveness cleaning
-/// deferred to the caller's commit: solo fallbacks and non-movers run
-/// [`ArrayRt::try_remap_inner`] un-cleaned and un-armed (the group's
-/// per-member records already cover them), movers replay coalesced.
+/// The execution half of [`try_remap_group`], inside its transaction.
+/// Members outside `mask` remap on their own (`ArrayRt::remap_body`:
+/// a no-op, a live-copy reuse, or a one-mover replay of their seeded
+/// solo plan); the masked movers are costed over the merged rounds and
+/// replayed together, as one call of the recovery driver.
 fn remap_group_body(
     machine: &mut Machine,
     members: &mut [GroupMember<'_>],
     planned: &PlannedGroup,
     mask: u64,
-    movers: usize,
+    mut snaps: Option<&mut [TxnScratch]>,
 ) -> Result<usize, ExecError> {
-    if movers < 2 {
-        // Nothing to coalesce: ordinary guarded remaps (cache hits).
-        for m in members.iter_mut() {
-            m.rt.try_remap_inner(
-                machine,
-                m.target,
-                m.may_live,
-                false,
-                m.skip_if_current,
-                false,
-                false,
-            )?;
-        }
-        return Ok(0);
-    }
-    // Non-movers first: their remap is a no-op plus cleaning, fully
-    // independent of the movers (different arrays).
     for (i, m) in members.iter_mut().enumerate() {
         if mask & (1 << i) == 0 {
-            m.rt.try_remap_inner(
-                machine,
-                m.target,
-                m.may_live,
-                false,
-                m.skip_if_current,
-                false,
-                false,
-            )?;
+            let snap = snaps.as_deref_mut().map(|s| &mut s[i]);
+            m.rt.remap_body(machine, m.target, false, m.skip_if_current, snap)?;
         }
     }
-    // The coalesced movement: allocate targets, cost the merged rounds
-    // restricted to the movers, replay the group program.
+    if mask == 0 {
+        return Ok(0);
+    }
+    // The coalesced movement: allocate targets, record what the replay
+    // overwrites, cost the merged rounds restricted to the movers,
+    // replay the group program.
     for (i, m) in members.iter_mut().enumerate() {
-        if mask & (1 << i) != 0 {
-            m.rt.ensure_allocated(machine, m.target);
+        if mask & (1 << i) == 0 {
+            continue;
+        }
+        m.rt.ensure_allocated(machine, m.target);
+        let (src, dst) = version_pair(&mut m.rt.copies, m.src, m.target)
+            .ok_or_else(|| ExecError::MissingCopy { array: m.rt.name.clone(), version: m.src })?;
+        if let Some(s) = snaps.as_deref_mut() {
+            s[i].capture_bytes(src, dst, &planned.program.members[i]);
         }
     }
     for r in 0..planned.schedule.rounds.len() {
         machine.account_phase(planned.schedule.round_triples_masked(r, mask));
     }
     let epoch = machine.next_fault_epoch();
-    // `None`: the fast path ran — bill the compiled program's planned
-    // per-member figures. `Some`: the guarded ladder ran and reports
-    // what the authoritative replay actually delivered per member.
-    let per_member = replay_group_with_recovery(machine, members, planned, mask, epoch)?;
+    // PoisonProgram: replay a corrupted clone of the group program —
+    // what a damaged shared plan registry would serve. (The planned
+    // group itself is borrowed, so unlike the solo cache the poison
+    // cannot persist past this call.)
+    let poisoned = machine.faults.is_some_and(|f| f.poison_fires(epoch)).then(|| {
+        machine.stats.faults_injected += 1;
+        let mut bad = planned.program.clone();
+        bad.members.iter_mut().for_each(poison_program);
+        bad
+    });
+    let recompile = || {
+        let plans: Vec<&RedistPlan> = planned.members.iter().map(|m| &m.plan).collect();
+        Some(GroupCopyProgram::compile(&plans, &planned.schedule).members)
+    };
+    // One (runs, elements) slot per member: groups of more than 64
+    // members never coalesce.
+    let mut tally = [(0u64, 0u64); 64];
+    crate::fault::replay_with_recovery(
+        machine,
+        &poisoned.as_ref().unwrap_or(&planned.program).members,
+        recompile,
+        &mut Movers::Group(members, mask),
+        epoch,
+        &mut tally,
+    )?;
     machine.stats.remap_groups_coalesced += 1;
     for (i, m) in members.iter_mut().enumerate() {
         if mask & (1 << i) == 0 {
             continue;
         }
-        let (runs, elements) = match &per_member {
-            Some(v) => v[i],
-            None => {
-                let mp = &planned.program.members[i];
-                (mp.n_runs(), mp.n_elements())
-            }
-        };
+        let (runs, elements) = tally[i];
         machine.stats.remaps_performed += 1;
         machine.stats.runs_copied += runs;
         machine.stats.bytes_moved += elements * m.rt.elem_size;
         machine.stats.local_elements += planned.members[i].plan.local_elements;
         m.rt.live[m.target as usize] = true;
         m.rt.status = Some(m.target);
-        // Cleaning deferred to the caller's group commit.
     }
-    Ok(movers)
-}
-
-/// The member's (source, destination) version storage, borrowed
-/// simultaneously from its copies table (the two versions are distinct
-/// by construction — a planned copy never has `src == target`).
-fn member_pair(rt: &mut ArrayRt, src: u32, dst: u32) -> (&VersionData, &mut VersionData) {
-    let (s, d) = (src as usize, dst as usize);
-    debug_assert_ne!(s, d, "planned copies move between distinct versions");
-    if s < d {
-        let (lo, hi) = rt.copies.split_at_mut(d);
-        (
-            lo[s].as_ref().expect("source copy is allocated"),
-            hi[0].as_mut().expect("target copy is allocated"),
-        )
-    } else {
-        let (lo, hi) = rt.copies.split_at_mut(s);
-        (
-            hi[0].as_ref().expect("source copy is allocated"),
-            lo[d].as_mut().expect("target copy is allocated"),
-        )
-    }
-}
-
-/// A member program's units of one group round (`None` = the local,
-/// never-on-the-wire group).
-fn units_of(mp: &CopyProgram, round: Option<usize>) -> &[CopyUnit] {
-    match round {
-        None => &mp.local,
-        Some(r) => &mp.rounds[r],
-    }
-}
-
-/// Serial group replay: walk the merged rounds (local group first) and
-/// move every masked-in member's units of that round. Allocation-free —
-/// the steady-state coalesced bounce performs zero heap allocations,
-/// like a solo cached remap.
-fn replay_serial(members: &mut [GroupMember<'_>], prog: &GroupCopyProgram, mask: u64) {
-    for round in std::iter::once(None).chain((0..prog.n_rounds).map(Some)) {
-        replay_round_inline(members, prog, mask, round);
-    }
-}
-
-/// One round of serial (or inline-parallel) replay.
-fn replay_round_inline(
-    members: &mut [GroupMember<'_>],
-    prog: &GroupCopyProgram,
-    mask: u64,
-    round: Option<usize>,
-) {
-    for (i, m) in members.iter_mut().enumerate() {
-        if mask & (1 << i) == 0 {
-            continue;
-        }
-        let mp = &prog.members[i];
-        let units = units_of(mp, round);
-        if units.is_empty() {
-            continue;
-        }
-        let (src, dst) = member_pair(m.rt, m.src, m.target);
-        for unit in units {
-            let sb = src.blocks[unit.provider as usize]
-                .as_ref()
-                .expect("provider holds the data");
-            let db = dst.blocks[unit.receiver as usize]
-                .as_mut()
-                .expect("receiver allocates the data");
-            replay_unit(&mp.fams, &mp.runs, *unit, sb, db);
-        }
-    }
-}
-
-/// Parallel group replay: per merged round, pair every masked-in
-/// member's units with their receiving blocks — distinct per member
-/// (schedule contention-freedom) and across members (different arrays'
-/// storage) — then split the round into weight-balanced chunks across
-/// scoped worker threads. Rounds below the shared inline threshold
-/// ([`round_goes_inline`]) replay inline, spawning nothing.
-fn replay_parallel(
-    members: &mut [GroupMember<'_>],
-    prog: &GroupCopyProgram,
-    mask: u64,
-    threads: usize,
-) {
-    for round in std::iter::once(None).chain((0..prog.n_rounds).map(Some)) {
-        let total: u64 = prog
-            .members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, mp)| units_of(mp, round).iter().map(|u| u.elements).sum::<u64>())
-            .sum();
-        if total == 0 {
-            continue;
-        }
-        if round_goes_inline(total) {
-            replay_round_inline(members, prog, mask, round);
-            continue;
-        }
-        // Pool every masked-in member's round units, paired with their
-        // receiving blocks (distinct per member by contention-freedom,
-        // distinct across members because each member writes its own
-        // array's storage), then split across scoped workers.
-        let mut paired: Vec<PairedUnit<'_>> = Vec::new();
-        for (i, m) in members.iter_mut().enumerate() {
-            if mask & (1 << i) == 0 {
-                continue;
-            }
-            let mp = &prog.members[i];
-            let units = units_of(mp, round);
-            if units.is_empty() {
-                continue;
-            }
-            let (src, dst) = member_pair(m.rt, m.src, m.target);
-            pair_round_units(units, &mp.fams, &mp.runs, src, dst, &mut paired);
-        }
-        replay_chunked(paired, total, threads);
-    }
-}
-
-/// Replay the coalesced movement, guarded when the machine carries
-/// faults or a validation level (otherwise the allocation-free fast
-/// path, returning `Ok(None)`). Guarded: integrity-check the group
-/// program (a poisoned program is recompiled from the cached member
-/// plans), run every merged round through the shared retry ladder, and
-/// escalate a stuck round to a one-shot group recompile, then to the
-/// terminal [`ExecError::Unrecovered`] that [`try_remap_group`]'s
-/// rollback exists for. Returns the per-member `(runs, elements)` the
-/// authoritative replay delivered.
-fn replay_group_with_recovery(
-    machine: &mut Machine,
-    members: &mut [GroupMember<'_>],
-    planned: &PlannedGroup,
-    mask: u64,
-    epoch: u64,
-) -> Result<Option<Vec<(u64, u64)>>, ExecError> {
-    let base = &planned.program;
-    let guarded = machine.faults.is_some() || machine.validation != ValidationLevel::Off;
-    if !guarded {
-        match machine.exec_mode {
-            ExecMode::Parallel(t) if t > 1 => replay_parallel(members, base, mask, t),
-            _ => replay_serial(members, base, mask),
-        }
-        return Ok(None);
-    }
-    if machine.faults.as_ref().is_some_and(|f| f.exhaust_fires(epoch)) {
-        machine.stats.faults_injected += 1;
-    }
-    let recompile = |machine: &mut Machine| {
-        machine.stats.programs_recompiled += 1;
-        let plans: Vec<&RedistPlan> = planned.members.iter().map(|m| &m.plan).collect();
-        GroupCopyProgram::compile(&plans, &planned.schedule)
-    };
-    // PoisonProgram: replay a corrupted clone of the group program —
-    // what a damaged shared plan registry would serve. (The planned
-    // group itself is borrowed, so unlike the solo cache the poison
-    // cannot persist past this call.)
-    let mut poisoned: Option<GroupCopyProgram> = None;
-    if machine.faults.is_some_and(|f| f.poison_fires(epoch)) {
-        let mut bad = base.clone();
-        for mp in &mut bad.members {
-            poison_program(mp);
-        }
-        machine.stats.faults_injected += 1;
-        poisoned = Some(bad);
-    }
-    let active = poisoned.as_ref().unwrap_or(base);
-    let recompiled = (!active.integrity_ok()).then(|| recompile(machine));
-    let active = recompiled.as_ref().unwrap_or(active);
-    if let Ok(v) = replay_group_rounds_guarded(machine, members, active, mask, epoch, 0) {
-        return Ok(Some(v));
-    }
-    if recompiled.is_none() {
-        // Rung 2: recompile the whole group once and re-replay
-        // (idempotent: every destination position is rewritten).
-        let fresh = recompile(machine);
-        if let Ok(v) = replay_group_rounds_guarded(machine, members, &fresh, mask, epoch, 1) {
-            return Ok(Some(v));
-        }
-    }
-    Err(ExecError::Unrecovered {
-        context: format!("group remap epoch {epoch}: retry and recompile left a round unhealed"),
-    })
-}
-
-/// All merged rounds of the group under the guarded regime, each
-/// through the shared retry ladder. Per-member `(runs, elements)`
-/// totals count only the authoritative (final successful) attempt of
-/// every round.
-fn replay_group_rounds_guarded(
-    machine: &mut Machine,
-    members: &mut [GroupMember<'_>],
-    prog: &GroupCopyProgram,
-    mask: u64,
-    epoch: u64,
-    stream: u32,
-) -> Result<Vec<(u64, u64)>, ()> {
-    let mut per_member = vec![(0u64, 0u64); members.len()];
-    let mut scratch = vec![(0u64, 0u64); members.len()];
-    for (ri, round) in std::iter::once(None).chain((0..prog.n_rounds).map(Some)).enumerate() {
-        let mut expected = 0u64;
-        let mut n_units = 0usize;
-        for (i, mp) in prog.members.iter().enumerate() {
-            if mask & (1 << i) == 0 {
-                continue;
-            }
-            let us = units_of(mp, round);
-            n_units += us.len();
-            expected += us.iter().map(|u| u.elements).sum::<u64>();
-        }
-        if n_units == 0 {
-            continue;
-        }
-        let ctx = RoundCtx { expected, units: n_units, round_no: ri as u32 };
-        run_round_ladder(machine, &ctx, epoch, stream, |mode, checksums, fault| {
-            scratch.iter_mut().for_each(|s| *s = (0, 0));
-            replay_group_round_guarded(
-                members, prog, mask, round, mode, checksums, fault, &mut scratch,
-            )
-        })?;
-        for (acc, s) in per_member.iter_mut().zip(scratch.iter()) {
-            acc.0 += s.0;
-            acc.1 += s.1;
-        }
-    }
-    Ok(per_member)
-}
-
-/// One merged round under the guarded regime. Wire-loss faults apply
-/// to the round's **concatenated** unit list (members in group order,
-/// units in program order): truncation replays the first half of that
-/// list, corruption picks its victim by global index — so a fault can
-/// land on any member, exactly like a fault on the shared wire buffer.
-/// Writes each member's delivered `(runs, elements)` into `per_member`.
-#[allow(clippy::too_many_arguments)]
-fn replay_group_round_guarded(
-    members: &mut [GroupMember<'_>],
-    prog: &GroupCopyProgram,
-    mask: u64,
-    round: Option<usize>,
-    mode: ExecMode,
-    checksums: bool,
-    fault: Option<(FaultKind, u64)>,
-    per_member: &mut [(u64, u64)],
-) -> Result<(u64, u64), RoundFailure> {
-    let masked = |i: usize| mask & (1 << i) != 0;
-    let total_units: usize = prog
-        .members
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| masked(*i))
-        .map(|(_, mp)| units_of(mp, round).len())
-        .sum();
-    let cut = match fault {
-        Some((FaultKind::DropRound, _)) => 0,
-        Some((FaultKind::TruncateRound, _)) => total_units / 2,
-        _ => total_units,
-    };
-    // taken[i]: member i's prefix of units under the concatenated cut.
-    let mut taken = vec![0usize; members.len()];
-    let mut idx = 0usize;
-    for (i, mp) in prog.members.iter().enumerate() {
-        let n = if masked(i) { units_of(mp, round).len() } else { 0 };
-        taken[i] = n.min(cut.saturating_sub(idx));
-        idx += n;
-    }
-    let weight: u64 = prog
-        .members
-        .iter()
-        .enumerate()
-        .map(|(i, mp)| units_of(mp, round)[..taken[i]].iter().map(|u| u.elements).sum::<u64>())
-        .sum();
-    let copied = catch_unwind(AssertUnwindSafe(|| {
-        if mode.threads() > 1 && !round_goes_inline(weight) {
-            let mut paired: Vec<PairedUnit<'_>> = Vec::new();
-            for (i, m) in members.iter_mut().enumerate() {
-                if taken[i] == 0 {
-                    continue;
-                }
-                let mp = &prog.members[i];
-                let units = &units_of(mp, round)[..taken[i]];
-                let (src, dst) = member_pair(m.rt, m.src, m.target);
-                pair_round_units(units, &mp.fams, &mp.runs, src, dst, &mut paired);
-            }
-            let boom = matches!(fault, Some((FaultKind::WorkerPanic, _))).then_some(0);
-            replay_chunked_guarded(paired, weight, mode.threads(), boom);
-        } else {
-            for (i, m) in members.iter_mut().enumerate() {
-                if taken[i] == 0 {
-                    continue;
-                }
-                let mp = &prog.members[i];
-                let units = &units_of(mp, round)[..taken[i]];
-                let (src, dst) = member_pair(m.rt, m.src, m.target);
-                for unit in units {
-                    let sb = src.blocks[unit.provider as usize]
-                        .as_ref()
-                        .expect("provider holds the data");
-                    let db = dst.blocks[unit.receiver as usize]
-                        .as_mut()
-                        .expect("receiver allocates the data");
-                    replay_unit(&mp.fams, &mp.runs, *unit, sb, db);
-                }
-            }
-        }
-    }));
-    if copied.is_err() {
-        return Err(RoundFailure::Panicked);
-    }
-    if let Some((FaultKind::CorruptRound, salt)) = fault {
-        if total_units > 0 {
-            let mut v = (salt % total_units as u64) as usize;
-            for (i, m) in members.iter_mut().enumerate() {
-                if !masked(i) {
-                    continue;
-                }
-                let units = units_of(&prog.members[i], round);
-                if v < units.len() {
-                    let victim = units[v];
-                    let (_, dst) = member_pair(m.rt, m.src, m.target);
-                    let db = dst.blocks[victim.receiver as usize]
-                        .as_mut()
-                        .expect("receiver allocates the data");
-                    let mp = &prog.members[i];
-                    flip_unit_word(&mp.fams, &mp.runs, victim, db);
-                    break;
-                }
-                v -= units.len();
-            }
-        }
-    }
-    let mut read = 0u64;
-    let mut written = 0u64;
-    let mut runs_total = 0u64;
-    let mut elems_total = 0u64;
-    for (i, m) in members.iter_mut().enumerate() {
-        if taken[i] == 0 {
-            continue;
-        }
-        let mp = &prog.members[i];
-        let units = &units_of(mp, round)[..taken[i]];
-        let (src, dst) = member_pair(m.rt, m.src, m.target);
-        let mut mruns = 0u64;
-        let mut melems = 0u64;
-        for unit in units {
-            mruns += unit_n_runs(&mp.fams, *unit);
-            melems += unit.elements;
-            if checksums {
-                let sb = src.blocks[unit.provider as usize]
-                    .as_ref()
-                    .expect("provider holds the data");
-                let db = dst.blocks[unit.receiver as usize]
-                    .as_ref()
-                    .expect("receiver allocates the data");
-                read = read.wrapping_add(unit_src_sum(&mp.fams, &mp.runs, *unit, sb));
-                written = written.wrapping_add(unit_dst_sum(&mp.fams, &mp.runs, *unit, db));
-            }
-        }
-        per_member[i].0 += mruns;
-        per_member[i].1 += melems;
-        runs_total += mruns;
-        elems_total += melems;
-    }
-    if checksums && read != written {
-        return Err(RoundFailure::Mismatch);
-    }
-    Ok((runs_total, elems_total))
+    Ok(mask.count_ones() as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{round_load, ExecMode};
     use crate::redist::plan_redistribution;
+    use crate::store::VersionData;
     use hpfc_mapping::{testing::mapping_1d as mk, DimFormat, NormalizedMapping};
 
     fn planned_pair(
@@ -847,12 +487,8 @@ mod tests {
                 DimFormat::Cyclic(Some(gn / 4)),
             );
             let gp = &fwd.program;
-            for round in std::iter::once(None).chain((0..gp.n_rounds).map(Some)) {
-                let w: u64 = gp
-                    .members
-                    .iter()
-                    .map(|mp| units_of(mp, round).iter().map(|u| u.elements).sum::<u64>())
-                    .sum();
+            for round in 0..=gp.n_rounds {
+                let (_, w) = round_load(&gp.members, (2, 0b11), round, usize::MAX);
                 assert_eq!(w, PARALLEL_THRESHOLD, "merged round sits exactly at the boundary");
             }
             let mut machine = machine.with_exec_mode(mode);

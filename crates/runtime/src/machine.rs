@@ -105,14 +105,11 @@ pub struct NetStats {
     pub registry_misses: u64,
     /// LRU entries this machine's registry insertions pushed out.
     pub registry_evictions: u64,
-    /// Solo remaps rolled back all-or-nothing: the recovery ladder
-    /// surfaced a terminal [`crate::ExecError`] and the destination
-    /// version was restored byte-identical to its pre-remap state.
-    pub txn_rollbacks: u64,
-    /// Remap groups un-committed as a whole: one member's failure
-    /// rolled back every member — including siblings that had already
-    /// replayed — before the typed error surfaced.
-    pub group_rollbacks: u64,
+    /// Remap transactions rolled back all-or-nothing — a solo remap or
+    /// a whole remap group: a terminal [`crate::ExecError`] surfaced
+    /// only after every array of the transaction was restored
+    /// byte-identical to its pre-remap state.
+    pub rollbacks: u64,
     /// Registry lock acquisitions that recovered a poisoned shard lock
     /// (`Mutex::into_inner` instead of an `unwrap` panic).
     pub lock_poison_recoveries: u64,
@@ -142,8 +139,7 @@ impl NetStats {
         self.registry_hits += o.registry_hits;
         self.registry_misses += o.registry_misses;
         self.registry_evictions += o.registry_evictions;
-        self.txn_rollbacks += o.txn_rollbacks;
-        self.group_rollbacks += o.group_rollbacks;
+        self.rollbacks += o.rollbacks;
         self.lock_poison_recoveries += o.lock_poison_recoveries;
     }
 
@@ -191,11 +187,10 @@ impl NetStats {
                 self.parallel_degradations,
             ));
         }
-        let txn = self.txn_rollbacks + self.group_rollbacks + self.lock_poison_recoveries;
-        if txn > 0 {
+        if self.rollbacks + self.lock_poison_recoveries > 0 {
             s.push_str(&format!(
-                " | txn rolled back {} solo / {} group, locks recovered {}",
-                self.txn_rollbacks, self.group_rollbacks, self.lock_poison_recoveries,
+                " | txn rolled back {}, locks recovered {}",
+                self.rollbacks, self.lock_poison_recoveries,
             ));
         }
         s
@@ -294,14 +289,13 @@ pub struct Machine {
     pub registry: std::sync::Arc<crate::registry::PlanRegistry>,
     /// Reusable per-phase accounting buffers.
     scratch: PhaseScratch,
-    /// Reusable solo-remap rollback record: on the guarded path every
-    /// data-moving remap captures one before the replay writes, and a
-    /// terminal [`crate::ExecError`] restores the array byte-identical
+    /// Reusable rollback records, one per array of a remap transaction
+    /// (one for a solo remap, one per member for a group): on the
+    /// guarded path each is captured before the replay writes, and a
+    /// terminal [`crate::ExecError`] restores every array byte-identical
     /// to its pre-remap state (capacity persists across remaps, keeping
     /// the armed snapshot allocation-free).
-    pub(crate) txn_scratch: crate::store::TxnScratch,
-    /// Reusable per-member rollback records for group remaps.
-    pub(crate) group_txn_scratch: Vec<crate::store::TxnScratch>,
+    pub(crate) txn_scratch: Vec<crate::store::TxnScratch>,
     /// Monotonic counter handed to the fault plan: one epoch per
     /// data-moving remap, making injection deterministic per operation
     /// regardless of execution mode.
@@ -321,8 +315,7 @@ impl Machine {
             validation: crate::fault::ValidationLevel::from_env(),
             registry: std::sync::Arc::clone(crate::registry::PlanRegistry::global()),
             scratch: PhaseScratch::default(),
-            txn_scratch: crate::store::TxnScratch::default(),
-            group_txn_scratch: Vec::new(),
+            txn_scratch: Vec::new(),
             fault_epoch: 0,
         }
     }
@@ -360,6 +353,12 @@ impl Machine {
     ) -> Self {
         self.registry = registry;
         self
+    }
+
+    /// Whether remaps run guarded — validated, fault-injected and
+    /// transactional — rather than on the unguarded fast path.
+    pub(crate) fn guarded(&self) -> bool {
+        self.faults.is_some() || self.validation != crate::fault::ValidationLevel::Off
     }
 
     /// The next fault epoch — bumped once per data-moving remap so the
@@ -488,9 +487,8 @@ mod tests {
             registry_hits: base + 18,
             registry_misses: base + 19,
             registry_evictions: base + 20,
-            txn_rollbacks: base + 21,
-            group_rollbacks: base + 22,
-            lock_poison_recoveries: base + 23,
+            rollbacks: base + 21,
+            lock_poison_recoveries: base + 22,
         };
         let mut merged = mk(100);
         merged.merge(&mk(1000));
@@ -518,8 +516,7 @@ mod tests {
             registry_hits,
             registry_misses,
             registry_evictions,
-            txn_rollbacks,
-            group_rollbacks,
+            rollbacks,
             lock_poison_recoveries,
         } = merged;
         assert_eq!(messages, 101 + 1001);
@@ -543,14 +540,13 @@ mod tests {
         assert_eq!(registry_hits, 118 + 1018);
         assert_eq!(registry_misses, 119 + 1019);
         assert_eq!(registry_evictions, 120 + 1020);
-        assert_eq!(txn_rollbacks, 121 + 1021);
-        assert_eq!(group_rollbacks, 122 + 1022);
-        assert_eq!(lock_poison_recoveries, 123 + 1023);
+        assert_eq!(rollbacks, 121 + 1021);
+        assert_eq!(lock_poison_recoveries, 122 + 1022);
         // With every counter nonzero, all conditional summary segments
         // print, and every u64 counter's value appears verbatim —
         // summary() cannot silently omit a field either.
         let s = mk(200).summary();
-        for v in 201..=223u64 {
+        for v in 201..=222u64 {
             assert!(s.contains(&v.to_string()), "summary misses {v}: {s}");
         }
         assert!(s.contains("200.5"), "summary misses time_us: {s}");

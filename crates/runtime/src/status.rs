@@ -18,11 +18,13 @@ use std::sync::Arc;
 
 use hpfc_mapping::NormalizedMapping;
 
-use crate::exec::CopyProgram;
+use crate::exec::{CopyProgram, Movers};
+use crate::fault::ExecError;
+use crate::group::GroupMember;
 use crate::machine::Machine;
 use crate::redist::{plan_redistribution, RedistPlan};
 use crate::schedule::CommSchedule;
-use crate::store::VersionData;
+use crate::store::{TxnScratch, VersionData};
 
 /// A memoized redistribution: the closed-form plan, its message-level
 /// caterpillar schedule, and the compiled copy program — computed once
@@ -253,7 +255,7 @@ impl ArrayRt {
         target: u32,
         may_live: &BTreeSet<u32>,
         values_dead: bool,
-    ) -> Result<(), crate::fault::ExecError> {
+    ) -> Result<(), ExecError> {
         self.try_remap_guarded(machine, target, may_live, values_dead, &BTreeSet::new())
     }
 
@@ -287,11 +289,12 @@ impl ArrayRt {
     /// neither configured this is exactly the unguarded
     /// allocation-free path.
     ///
-    /// **Transactional**: on the guarded path a rollback record is
-    /// captured before the replay writes anything, and any terminal
-    /// error restores the destination version —
+    /// **Transactional**: the remap is a one-member remap group
+    /// ([`crate::try_remap_group`]'s transaction) — on the guarded path
+    /// a rollback record is captured before the replay writes anything,
+    /// and any terminal error restores the destination version —
     /// status, live flags, allocation, and bytes — to its exact
-    /// pre-remap state (`NetStats::txn_rollbacks`). The unguarded fast
+    /// pre-remap state (`NetStats::rollbacks`). The unguarded fast
     /// path needs no snapshot: with no faults injected and no
     /// validation demanded, its replay cannot fail after writes begin.
     pub fn try_remap_guarded(
@@ -301,159 +304,119 @@ impl ArrayRt {
         may_live: &BTreeSet<u32>,
         values_dead: bool,
         skip_if_current: &BTreeSet<u32>,
-    ) -> Result<(), crate::fault::ExecError> {
-        self.try_remap_inner(machine, target, may_live, values_dead, skip_if_current, true, true)
+    ) -> Result<(), ExecError> {
+        // A solo remap copies from its current status, if any.
+        let src = self.status.unwrap_or(target);
+        let mut solo = [GroupMember { rt: self, src, target, may_live, skip_if_current }];
+        crate::group::transact(machine, &mut solo, |machine, solo, snaps| {
+            let (m, snap) = (&mut solo[0], snaps.map(|s| &mut s[0]));
+            m.rt.remap_body(machine, m.target, values_dead, m.skip_if_current, snap)
+        })
     }
 
-    /// Body of [`ArrayRt::try_remap_guarded`], parameterized for the
-    /// group path: `clean` defers the liveness cleaning (a group cleans
-    /// only after *every* member committed — cleaning frees copies a
-    /// group rollback could not restore), and `txn` arms the solo
-    /// rollback (the group captures its own per-member records
-    /// instead).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn try_remap_inner(
+    /// Fig. 20 for this array inside a remap transaction — everything
+    /// but the liveness cleaning, which waits for the transaction to
+    /// commit. `snap` is the array's rollback record on the guarded
+    /// path; a data-moving remap adds the destination bytes to it
+    /// before replaying.
+    pub(crate) fn remap_body(
         &mut self,
         machine: &mut Machine,
         target: u32,
-        may_live: &BTreeSet<u32>,
         values_dead: bool,
         skip_if_current: &BTreeSet<u32>,
-        clean: bool,
-        txn: bool,
-    ) -> Result<(), crate::fault::ExecError> {
-        if self.status.is_some_and(|c| skip_if_current.contains(&c)) {
+        snap: Option<&mut TxnScratch>,
+    ) -> Result<(), ExecError> {
+        // Partial-impact skip, or "the runtime will notice that the
+        // array is already mapped as required just by an inexpensive
+        // check of its status."
+        if self.status.is_some_and(|c| skip_if_current.contains(&c)) || self.status == Some(target)
+        {
             machine.stats.remaps_skipped_noop += 1;
-        } else if self.status == Some(target) {
-            // "The runtime will notice that the array is already mapped
-            // as required just by an inexpensive check of its status."
-            machine.stats.remaps_skipped_noop += 1;
-        } else {
-            let target_preallocated = self.copies[target as usize].is_some();
-            self.ensure_allocated(machine, target);
-            if self.live[target as usize] {
-                // Live-copy reuse: no communication at all (App. D).
-                machine.stats.remaps_reused_live += 1;
-            } else {
-                match (self.status, values_dead) {
-                    (Some(src), false) => {
-                        // The actual remapping communication: the
-                        // cached compiled program drives the copy, its
-                        // caterpillar schedule the time accounting.
-                        let epoch = machine.next_fault_epoch();
-                        if machine.faults.is_some_and(|f| f.poison_fires(epoch)) {
-                            // PoisonProgram: corrupt the cached entry's
-                            // compiled program before it is served. The
-                            // corrupt artifact is installed into the
-                            // shared registry too — exactly what a
-                            // damaged plan registry would hand out to
-                            // every session.
-                            if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
-                                let mut bad = PlannedRemap::clone(entry);
-                                crate::fault::poison_program(&mut bad.program);
-                                machine.stats.faults_injected += 1;
-                                let bad = Arc::new(bad);
-                                machine.registry.install(Arc::clone(&bad));
-                                *entry = bad;
-                            }
-                        }
-                        let inject_compile_panic = machine
-                            .faults
-                            .is_some_and(|f| f.compile_panic_fires(epoch))
-                            && !self.plan_cache.contains_key(&(src, target));
-                        if inject_compile_panic {
-                            machine.stats.faults_injected += 1;
-                        }
-                        let planned =
-                            self.planned_with(machine, src, target, inject_compile_panic);
-                        machine.account_schedule(&planned.schedule);
-                        machine.stats.remaps_performed += 1;
-                        // Take the source copy out instead of cloning
-                        // it (src != target here: the status==target
-                        // case was handled above), then put it back.
-                        let src_data = self.copies[src as usize].take().ok_or_else(|| {
-                            crate::fault::ExecError::MissingCopy {
-                                array: self.name.clone(),
-                                version: src,
-                            }
-                        })?;
-                        // Arm the rollback record only on the guarded
-                        // path: the unguarded replay cannot fail after
-                        // writes begin, so the default cached bounce
-                        // never pays for a snapshot.
-                        let armed = txn
-                            && (machine.faults.is_some()
-                                || machine.validation != crate::ValidationLevel::Off);
-                        let mut snap = std::mem::take(&mut machine.txn_scratch);
-                        if armed {
-                            snap.capture(
-                                self.status,
-                                &self.live,
-                                target_preallocated,
-                                Some(&src_data),
-                                self.copies[target as usize].as_ref(),
-                                Some(&planned.program),
-                            );
-                        }
-                        let dst_data = self.copies[target as usize].as_mut().unwrap();
-                        // Replay through the recovery ladder (which is
-                        // the plain unguarded program replay when no
-                        // faults/validation are configured). The source
-                        // copy goes back in before any error propagates.
-                        let replayed = crate::fault::replay_with_recovery(
-                            machine, &planned, &src_data, dst_data, epoch,
-                        );
-                        self.copies[src as usize] = Some(src_data);
-                        let outcome = match replayed {
-                            Ok(o) => {
-                                // Commit: drop the capture, keep the
-                                // scratch capacity for the next remap.
-                                snap.captured = false;
-                                machine.txn_scratch = snap;
-                                o
-                            }
-                            Err(e) => {
-                                if armed {
-                                    self.rollback_remap(machine, target, &mut snap);
-                                    machine.stats.txn_rollbacks += 1;
-                                }
-                                machine.txn_scratch = snap;
-                                return Err(e);
-                            }
-                        };
-                        machine.stats.runs_copied += outcome.runs;
-                        machine.stats.bytes_moved += outcome.elements * self.elem_size;
-                        drop(planned);
-                        if let Some(fresh) = outcome.repaired {
-                            // Cache repair, once registry-wide: the
-                            // recompiled program replaces the
-                            // poisoned/stale one locally *and* in the
-                            // shared registry, so the next bounce is
-                            // healthy again and no later session is
-                            // ever served the corrupt artifact.
-                            if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
-                                let mut healthy = PlannedRemap::clone(entry);
-                                healthy.program = fresh;
-                                let healthy = Arc::new(healthy);
-                                machine.registry.install(Arc::clone(&healthy));
-                                *entry = healthy;
-                            }
-                        }
-                    }
-                    (Some(_), true) => {
-                        // KILL: copy allocated, values dead — no data.
-                        machine.stats.remaps_dead_values += 1;
-                    }
-                    (None, _) => {
-                        // First instantiation: nothing to copy from.
-                    }
-                }
-                self.live[target as usize] = true;
-            }
-            self.status = Some(target);
+            return Ok(());
         }
-        if clean {
-            self.clean_copies(machine, target, may_live);
+        self.ensure_allocated(machine, target);
+        if self.live[target as usize] {
+            // Live-copy reuse: no communication at all (App. D).
+            machine.stats.remaps_reused_live += 1;
+        } else {
+            match (self.status, values_dead) {
+                (Some(src), false) => self.move_values(machine, src, target, snap)?,
+                (Some(_), true) => {
+                    // KILL: copy allocated, values dead — no data.
+                    machine.stats.remaps_dead_values += 1;
+                }
+                (None, _) => {
+                    // First instantiation: nothing to copy from.
+                }
+            }
+            self.live[target as usize] = true;
+        }
+        self.status = Some(target);
+        Ok(())
+    }
+
+    /// The actual remapping communication: the cached compiled program
+    /// replays `src` into `target` as one mover through the recovery
+    /// driver, its caterpillar schedule drives the time accounting.
+    fn move_values(
+        &mut self,
+        machine: &mut Machine,
+        src: u32,
+        target: u32,
+        snap: Option<&mut TxnScratch>,
+    ) -> Result<(), ExecError> {
+        let epoch = machine.next_fault_epoch();
+        if machine.faults.is_some_and(|f| f.poison_fires(epoch)) {
+            // PoisonProgram: corrupt the cached entry's compiled program
+            // before it is served. The corrupt artifact is installed
+            // into the shared registry too — exactly what a damaged
+            // plan registry would hand out to every session.
+            if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
+                let mut bad = PlannedRemap::clone(entry);
+                crate::fault::poison_program(&mut bad.program);
+                machine.stats.faults_injected += 1;
+                let bad = Arc::new(bad);
+                machine.registry.install(Arc::clone(&bad));
+                *entry = bad;
+            }
+        }
+        let inject_compile_panic = machine.faults.is_some_and(|f| f.compile_panic_fires(epoch))
+            && !self.plan_cache.contains_key(&(src, target));
+        if inject_compile_panic {
+            machine.stats.faults_injected += 1;
+        }
+        let planned = self.planned_with(machine, src, target, inject_compile_panic);
+        machine.account_schedule(&planned.schedule);
+        machine.stats.remaps_performed += 1;
+        let (src_data, dst_data) = version_pair(&mut self.copies, src, target)
+            .ok_or_else(|| ExecError::MissingCopy { array: self.name.clone(), version: src })?;
+        if let Some(snap) = snap {
+            snap.capture_bytes(src_data, dst_data, &planned.program);
+        }
+        let mut tally = [(0, 0)];
+        let repaired = crate::fault::replay_with_recovery(
+            machine,
+            std::slice::from_ref(&planned.program),
+            || CopyProgram::try_compile(&planned.plan, &planned.schedule).map(|p| vec![p]),
+            &mut Movers::Pair(src_data, dst_data),
+            epoch,
+            &mut tally,
+        )?;
+        machine.stats.runs_copied += tally[0].0;
+        machine.stats.bytes_moved += tally[0].1 * self.elem_size;
+        if let Some(fresh) = repaired.and_then(|mut p| p.pop()) {
+            // Cache repair, once registry-wide: the recompiled program
+            // replaces the poisoned/stale one locally *and* in the
+            // shared registry, so the next bounce is healthy again and
+            // no later session is ever served the corrupt artifact.
+            if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
+                let mut healthy = PlannedRemap::clone(entry);
+                healthy.program = fresh;
+                let healthy = Arc::new(healthy);
+                machine.registry.install(Arc::clone(&healthy));
+                *entry = healthy;
+            }
         }
         Ok(())
     }
@@ -461,9 +424,9 @@ impl ArrayRt {
     /// Cleaning (Fig. 20's tail): free copies that are live but not
     /// worth keeping. The status copy is never cleaned — on
     /// pass-through executions of a partial-impact vertex it differs
-    /// from `target` and is still the current data. Group remaps run
-    /// this only after the whole group committed: cleaning frees copies
-    /// a rollback could not restore.
+    /// from `target` and is still the current data. A remap transaction
+    /// runs this only after every member committed: cleaning frees
+    /// copies a rollback could not restore.
     pub(crate) fn clean_copies(
         &mut self,
         machine: &mut Machine,
@@ -490,7 +453,7 @@ impl ArrayRt {
         &mut self,
         machine: &mut Machine,
         target: u32,
-        snap: &mut crate::store::TxnScratch,
+        snap: &mut TxnScratch,
     ) {
         if !snap.captured {
             return;
@@ -538,7 +501,7 @@ impl ArrayRt {
         saved: u32,
         may_live: &BTreeSet<u32>,
         values_dead: bool,
-    ) -> Result<(), crate::fault::ExecError> {
+    ) -> Result<(), ExecError> {
         machine.stats.restores_replayed += 1;
         self.try_remap(machine, saved, may_live, values_dead)
     }
@@ -595,6 +558,26 @@ impl ArrayRt {
     /// the global figure).
     pub fn allocated_bytes(&self) -> u64 {
         self.copies.iter().flatten().map(|c| c.total_bytes()).sum()
+    }
+}
+
+/// An array's `src` and `dst` version storage, borrowed together from
+/// its copies table (`None` when the source copy is not allocated). The
+/// versions are distinct: a remap between equal versions is a status
+/// no-op and never reaches a replay.
+pub(crate) fn version_pair(
+    copies: &mut [Option<VersionData>],
+    src: u32,
+    dst: u32,
+) -> Option<(&VersionData, &mut VersionData)> {
+    let (s, d) = (src as usize, dst as usize);
+    assert_ne!(s, d, "a replay moves between distinct versions");
+    if s < d {
+        let (lo, hi) = copies.split_at_mut(d);
+        Some((lo[s].as_ref()?, hi[0].as_mut().expect("target copy is allocated")))
+    } else {
+        let (lo, hi) = copies.split_at_mut(s);
+        Some((hi[0].as_ref()?, lo[d].as_mut().expect("target copy is allocated")))
     }
 }
 

@@ -174,8 +174,8 @@ impl VersionData {
     /// mapping pair would apply its precompiled positions to the wrong
     /// block layouts, so the copy then goes through
     /// [`VersionData::copy_values_from`] instead. The check is an
-    /// allocation-free structural comparison — the cached remap path
-    /// stays allocation-free.
+    /// allocation-free structural comparison, so the replay stays
+    /// allocation-free.
     pub fn copy_values_from_program(
         &mut self,
         other: &VersionData,
@@ -270,9 +270,8 @@ impl VersionData {
 /// runs (the cached program, a recompiled one, a poisoned one whose
 /// `src_pos`es were zeroed, and the corruption scribble all target the
 /// same destination positions), so the snapshot is bounded by the
-/// bytes the remap would move, not the array size. When no program
-/// vouches for the write set (a group member remapped outside the
-/// coalesced replay, a foreign program), the full destination blocks
+/// bytes the remap would move, not the array size. When the program
+/// was compiled for another version pair, the full destination blocks
 /// are saved instead.
 ///
 /// Lives in a per-[`crate::Machine`] scratch arena
@@ -306,21 +305,11 @@ pub struct TxnScratch {
 }
 
 impl TxnScratch {
-    /// Record the rollback point: array state (`status`, `live`,
-    /// whether the target copy pre-existed) plus the destination bytes
-    /// the replay may overwrite. `program` (when compiled for exactly
-    /// this `(src, dst)` pair) bounds the byte snapshot to its
-    /// destination runs; otherwise the full destination blocks are
-    /// cloned.
-    pub(crate) fn capture(
-        &mut self,
-        status: Option<u32>,
-        live: &[bool],
-        target_preallocated: bool,
-        src: Option<&VersionData>,
-        dst: Option<&VersionData>,
-        program: Option<&crate::CopyProgram>,
-    ) {
+    /// Record the rollback point's array state, before anything
+    /// executes: `status`, `live`, and whether the target copy
+    /// pre-existed (if not, rollback frees it instead of restoring
+    /// bytes).
+    pub(crate) fn begin(&mut self, status: Option<u32>, live: &[bool], target_preallocated: bool) {
         self.status = status;
         self.live.clear();
         self.live.extend_from_slice(live);
@@ -329,17 +318,27 @@ impl TxnScratch {
         self.words.clear();
         self.full.clear();
         self.captured = true;
-        if !target_preallocated {
+    }
+
+    /// Add the destination bytes a replay of `program` from `src` into
+    /// `dst` may overwrite — called by each mover right before it
+    /// replays. A program compiled for exactly this `(src, dst)` pair
+    /// bounds the snapshot to its destination runs; otherwise the full
+    /// destination blocks are cloned. A fresh target needs no bytes.
+    pub(crate) fn capture_bytes(
+        &mut self,
+        src: &VersionData,
+        dst: &VersionData,
+        program: &crate::CopyProgram,
+    ) {
+        if !self.target_preallocated {
             return; // rollback frees the fresh copy; no bytes to save
         }
-        let Some(dst) = dst else { return };
-        if let (Some(p), Some(s)) = (program, src) {
-            if p.compiled_for(s, dst) && self.capture_runs(p, dst) {
-                return;
-            }
-            self.ranges.clear();
-            self.words.clear();
+        if program.compiled_for(src, dst) && self.capture_runs(program, dst) {
+            return;
         }
+        self.ranges.clear();
+        self.words.clear();
         for (r, b) in dst.blocks.iter().enumerate() {
             if let Some(b) = b {
                 self.full.push((r, b.data.clone()));

@@ -362,7 +362,7 @@ fn steady_state_remap_allocates_nothing() {
         assert_eq!(allocations(), before, "transactional remap {i} ->0 allocated");
     }
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
-    assert_eq!(machine.stats.txn_rollbacks, 0, "the happy path never rolls back");
+    assert_eq!(machine.stats.rollbacks, 0, "the happy path never rolls back");
     assert_eq!(machine.stats.plans_computed, 2);
 
     // --- 7. Strided-kernel replay is allocation-free too. -------------
@@ -414,6 +414,6 @@ fn steady_state_remap_allocates_nothing() {
         assert_eq!(allocations(), before, "strided-kernel remap {i} ->0 allocated");
     }
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
-    assert_eq!(machine.stats.txn_rollbacks, 0, "the happy path never rolls back");
+    assert_eq!(machine.stats.rollbacks, 0, "the happy path never rolls back");
     assert_eq!(machine.stats.plans_computed, 2, "planned once per direction");
 }

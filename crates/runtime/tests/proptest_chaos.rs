@@ -19,8 +19,9 @@ use hpfc_mapping::{
     ProcGrid, Template, TemplateId,
 };
 use hpfc_runtime::{
-    plan_redistribution, remap_group, try_remap_group, ArrayRt, ExecError, ExecMode, FaultKind,
-    FaultPlan, GroupMember, Machine, PlanRegistry, PlannedGroup, PlannedRemap, ValidationLevel,
+    plan_redistribution, remap_group, try_remap_group, ArrayRt, CopyUnit, ExecError, ExecMode,
+    FaultKind, FaultPlan, GroupMember, Machine, PlanRegistry, PlannedGroup, PlannedRemap,
+    ValidationLevel,
 };
 use proptest::prelude::*;
 
@@ -93,7 +94,7 @@ fn corruption_at_full_rate_ends_unrecovered_with_rollback() {
     assert!(machine.stats.faults_injected > 0, "corruption was injected");
     assert!(machine.stats.rounds_retried > 0, "rung 1 retried");
     assert_eq!(machine.stats.programs_recompiled, 1, "rung 2 recompiled once");
-    assert_eq!(machine.stats.txn_rollbacks, 1);
+    assert_eq!(machine.stats.rollbacks, 1);
     assert_eq!(machine.stats.plans_computed, 0, "recovery never plans");
 }
 
@@ -126,7 +127,7 @@ fn corruption_at_moderate_rate_heals_by_retry() {
         assert_matches_oracle(&rt, &shadow, "corrupt@40");
     }
     assert!(unrecovered <= 2, "retries heal most remaps at rate 40 ({unrecovered} of 8 did not)");
-    assert_eq!(machine.stats.txn_rollbacks, unrecovered, "every failure rolled back");
+    assert_eq!(machine.stats.rollbacks, unrecovered, "every failure rolled back");
     assert!(machine.stats.faults_injected > 0);
     assert!(machine.stats.rounds_retried > 0);
     assert_eq!(machine.stats.plans_computed, 0);
@@ -328,7 +329,7 @@ fn group_remaps_heal_under_chaos() {
                 try_remap_group(&mut machine, &mut members, &fwd).unwrap_err()
             };
             assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-            assert_eq!(machine.stats.group_rollbacks, 1);
+            assert_eq!(machine.stats.rollbacks, 1);
             assert_eq!(machine.stats.programs_recompiled, 1, "one group recompile");
             assert!(machine.stats.rounds_retried > 0);
             assert_eq!((a.status, &a.live, &a.copies), (pre_a.0, &pre_a.1, &pre_a.2), "member a");
@@ -433,7 +434,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
             // Preallocated destination: the rollback restores its bytes.
             let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
             assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-            assert_eq!(machine.stats.txn_rollbacks, 1, "({mode:?}, seeded={seeded})");
+            assert_eq!(machine.stats.rollbacks, 1, "({mode:?}, seeded={seeded})");
             assert_eq!(rt.status, pre.0, "status restored");
             assert_eq!(rt.live, pre.1, "live flags restored");
             assert_eq!(rt.copies, pre.2, "destination bytes are byte-identical to pre-remap");
@@ -444,7 +445,7 @@ fn exhaustion_rolls_a_solo_remap_back_to_its_pre_remap_state() {
             let pre = (rt.status, rt.live.clone(), rt.copies.clone());
             let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
             assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-            assert_eq!(machine.stats.txn_rollbacks, 2);
+            assert_eq!(machine.stats.rollbacks, 2);
             assert!(rt.copies[1].is_none(), "the fresh destination copy was freed");
             assert_eq!((rt.status, &rt.live, &rt.copies), (pre.0, &pre.1, &pre.2));
 
@@ -494,7 +495,7 @@ fn exhaustion_rolls_back_strided_kernel_destinations_byte_identically() {
         machine = machine.with_faults(FaultPlan::new(97, 100, &[FaultKind::Exhaust]));
         let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
         assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-        assert_eq!(machine.stats.txn_rollbacks, 1, "({mode:?})");
+        assert_eq!(machine.stats.rollbacks, 1, "({mode:?})");
         assert_eq!(rt.status, pre.0, "status restored ({mode:?})");
         assert_eq!(rt.live, pre.1, "live flags restored ({mode:?})");
         assert_eq!(
@@ -554,7 +555,7 @@ fn exhaustion_rolls_a_coalesced_group_back_atomically() {
             try_remap_group(&mut machine, &mut members, &fwd).unwrap_err()
         };
         assert!(matches!(err, ExecError::Unrecovered { .. }), "typed terminal error: {err}");
-        assert_eq!(machine.stats.group_rollbacks, 1, "({mode:?})");
+        assert_eq!(machine.stats.rollbacks, 1, "({mode:?})");
         assert_eq!((a.status, &a.live, &a.copies), (pre_a.0, &pre_a.1, &pre_a.2), "member a");
         assert_eq!((b.status, &b.live, &b.copies), (pre_b.0, &pre_b.1, &pre_b.2), "member b");
         // Both arrays remain fully usable: the same directive completes
@@ -617,7 +618,7 @@ fn a_failing_member_uncommits_its_already_replayed_sibling() {
     };
     assert!(matches!(err, ExecError::Unrecovered { .. }));
     assert_eq!(machine.stats.remaps_reused_live, 1, "a had already committed");
-    assert_eq!(machine.stats.group_rollbacks, 1);
+    assert_eq!(machine.stats.rollbacks, 1);
     assert_eq!(a.status, Some(1), "a's commit was rolled back with its failing sibling");
     assert_eq!((a.status, &a.live, &a.copies), (pre_a.0, &pre_a.1, &pre_a.2), "member a");
     assert_eq!((b.status, &b.live, &b.copies), (pre_b.0, &pre_b.1, &pre_b.2), "member b");
@@ -654,7 +655,82 @@ fn a_contained_compile_panic_still_heals_to_the_oracle() {
     assert_eq!(machine.stats.plans_computed, 2);
     assert_eq!(registry.len(), 2, "the clean recompiles were published");
     assert_eq!(machine.stats.lock_poison_recoveries, 0, "no lock was ever poisoned");
-    assert_eq!(machine.stats.txn_rollbacks, 0, "nothing terminal happened");
+    assert_eq!(machine.stats.rollbacks, 0, "nothing terminal happened");
+}
+
+/// The guarded engine is the unguarded one plus checks: with no faults,
+/// every validation level moves the same bytes and bills the same
+/// traffic as the fast path, serial or threaded, for a solo remap and
+/// a coalesced two-member group alike — and never retries or
+/// recompiles.
+#[test]
+fn guarded_and_unguarded_replays_agree_solo_and_group() {
+    let n = 1u64 << 18;
+    let src = mk1d(n, 4, DimFormat::Block(None));
+    let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
+    let solo = |s: &NormalizedMapping, d: &NormalizedMapping| {
+        Arc::new(PlannedRemap::compile(plan_redistribution(s, d, 8)))
+    };
+    let (fwd, back) = (solo(&src, &dst), solo(&dst, &src));
+    // Premise: a solo round, and so a merged group round, is at least
+    // the 32,768-element inline threshold, so Parallel(4) spawns workers.
+    let round_elements = |r: &Vec<_>| r.iter().map(|u: &CopyUnit| u.elements).sum::<u64>();
+    assert!(fwd.program.rounds.iter().any(|r| round_elements(r) >= 1 << 15));
+    let fwd_group = PlannedGroup::compile(vec![Arc::clone(&fwd), Arc::clone(&fwd)]);
+    let back_group = PlannedGroup::compile(vec![Arc::clone(&back), Arc::clone(&back)]);
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
+    let run = |validation: ValidationLevel, mode: ExecMode, grouped: bool| {
+        let mut machine = Machine::new(4)
+            .with_registry(private_registry())
+            .with_exec_mode(mode)
+            .with_validation(validation);
+        machine.faults = None;
+        let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+        let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
+        for rt in [&mut a, &mut b] {
+            rt.seed_plan(0, 1, Arc::clone(&fwd));
+            rt.seed_plan(1, 0, Arc::clone(&back));
+        }
+        a.current(&mut machine, 0).fill(|p| p[0] as f64 + 0.5);
+        b.current(&mut machine, 0).fill(|p| 3.0 * p[0] as f64);
+        for (bounce, (s, t)) in [(0u32, 1u32), (1, 0), (0, 1)].into_iter().enumerate() {
+            if grouped {
+                let planned = if s == 0 { &fwd_group } else { &back_group };
+                let mut members = [
+                    GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                    GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                ];
+                assert_eq!(remap_group(&mut machine, &mut members, planned), 2, "coalesced");
+            } else {
+                a.remap(&mut machine, t, &keep, false);
+            }
+            a.set(&[bounce as u64], -1.0 - bounce as f64);
+            b.set(&[bounce as u64 + 7], -2.0 - bounce as f64);
+        }
+        let s = machine.stats;
+        assert_eq!(
+            (s.rounds_retried, s.programs_recompiled, s.faults_injected, s.parallel_degradations),
+            (0, 0, 0, 0),
+            "{validation:?} {mode:?} grouped={grouped}"
+        );
+        let counters =
+            (s.bytes_moved, s.runs_copied, s.remaps_performed, s.messages, s.bytes, s.time_us);
+        (a.copies, b.copies, counters)
+    };
+    for grouped in [false, true] {
+        let reference = run(ValidationLevel::Off, ExecMode::Serial, grouped);
+        assert!(reference.2 .2 > 0, "the bounces moved data");
+        let levels = [ValidationLevel::Off, ValidationLevel::Counts, ValidationLevel::Checksums];
+        for validation in levels {
+            for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
+                assert!(
+                    run(validation, mode, grouped) == reference,
+                    "{validation:?} {mode:?} grouped={grouped}: differs from unguarded serial"
+                );
+            }
+        }
+    }
 }
 
 /// One drawn mapping configuration (alignment + distribution
@@ -755,7 +831,7 @@ proptest! {
             }
             let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
             for b in 0..3u32 {
-                let before = machine.stats.txn_rollbacks;
+                let before = machine.stats.rollbacks;
                 if let Err(e) = rt.try_remap(&mut machine, 1 - (b % 2), &keep, false) {
                     // Injected ladder exhaustion: the error is typed
                     // and the transaction rolled the destination back,
@@ -767,7 +843,7 @@ proptest! {
                         e
                     );
                     prop_assert!(
-                        machine.stats.txn_rollbacks > before,
+                        machine.stats.rollbacks > before,
                         "terminal error without a rollback (seed {} rate {})",
                         seed,
                         rate
@@ -818,11 +894,11 @@ proptest! {
         let pre = (rt.status, rt.live.clone(), rt.copies.clone());
         match rt.try_remap(&mut machine, 1, &keep, false) {
             Ok(()) => {
-                prop_assert_eq!(machine.stats.txn_rollbacks, 0);
+                prop_assert_eq!(machine.stats.rollbacks, 0);
             }
             Err(e) => {
                 prop_assert!(matches!(e, ExecError::Unrecovered { .. }), "{}", e);
-                prop_assert_eq!(machine.stats.txn_rollbacks, 1);
+                prop_assert_eq!(machine.stats.rollbacks, 1);
                 prop_assert_eq!(&rt.status, &pre.0, "status restored");
                 prop_assert_eq!(&rt.live, &pre.1, "live flags restored");
                 prop_assert_eq!(&rt.copies, &pre.2, "bytes restored");

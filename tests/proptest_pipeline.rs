@@ -7,7 +7,7 @@
 //! 3. Theorem 1 (App. C) holds on the optimized graph;
 //! 4. every emitted remap slot count is consistent with the stats.
 
-use hpfc::{compile, compile_and_run, CompileOptions, ExecConfig};
+use hpfc::{compile, compile_and_run, CompileOptions, ExecConfig, RunError};
 use proptest::prelude::*;
 
 /// A random program over three arrays aligned to one template, with
@@ -135,13 +135,13 @@ proptest! {
         let src = render(&g);
         let plain = compile_and_run(&src, &CompileOptions::default(), ExecConfig::default());
         let moved = compile_and_run(&src, &CompileOptions::max(), ExecConfig::default());
-        let ((_, plain), (_, moved)) = match (plain, moved) {
-            (Ok(a), Ok(b)) => (a, b),
+        let (plain, moved) = match (plain, moved) {
             // Rejected programs (restriction 1) are out of scope here;
             // note that motion may turn a rejected program into an
             // accepted one (it removes an in-loop remapping ambiguity),
             // which is fine — it only runs when provably safe.
-            (Err(_), _) | (_, Err(_)) => return Ok(()),
+            (Err(RunError::Compile(_)), _) | (_, Err(RunError::Compile(_))) => return Ok(()),
+            (a, b) => (a.expect("compiled programs run").1, b.expect("compiled programs run").1),
         };
         prop_assert_eq!(&plain.arrays, &moved.arrays, "loop motion changed results\n{}", src);
     }
@@ -152,9 +152,9 @@ proptest! {
         let normal = compile_and_run(&src, &CompileOptions::default(), ExecConfig::default());
         let cfg = ExecConfig { evict_live_copies: true, ..ExecConfig::default() };
         let pressed = compile_and_run(&src, &CompileOptions::default(), cfg);
-        let ((_, normal), (_, pressed)) = match (normal, pressed) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(_), _) | (_, Err(_)) => return Ok(()), // rejected program
+        let (normal, pressed) = match (normal, pressed) {
+            (Err(RunError::Compile(_)), _) | (_, Err(RunError::Compile(_))) => return Ok(()),
+            (a, b) => (a.expect("compiled programs run").1, b.expect("compiled programs run").1),
         };
         prop_assert_eq!(&normal.arrays, &pressed.arrays);
         prop_assert!(pressed.stats.bytes >= normal.stats.bytes);
