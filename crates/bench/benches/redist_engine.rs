@@ -350,21 +350,16 @@ fn bench_group_remap(c: &mut Criterion) {
     g.finish();
 }
 
-/// What the failure model costs when it is off — and when it is on.
-/// The cached remap bounce of `redist/remap_loop`, re-measured under
-/// the fault/validation configurations: `validation_off` is the
-/// default machine (no `FaultPlan`, `ValidationLevel::Off`) and must
-/// be indistinguishable from the plain cached bounce — the guarded
-/// ladder is compiled out of the path by one branch; `counts_on` adds
-/// the per-round conservation check (an integer sum the replay already
-/// has); `checksums_on` pays one extra read pass over source and
-/// destination words per round — the price of detecting single-word
-/// corruption.
-fn bench_fault_overhead(c: &mut Criterion) {
+/// What validation costs. The cached remap bounce of
+/// `redist/remap_loop`, re-measured with validation `off` (the default
+/// machine: pre-write checks, then the bare replay) and with
+/// `checksums` (the same plus one read pass over the source and
+/// destination words of every unit after the replay).
+fn bench_validation_overhead(c: &mut Criterion) {
     use hpfc::runtime::ValidationLevel;
 
     let n = 16384u64;
-    let mut g = c.benchmark_group("redist/fault_overhead");
+    let mut g = c.benchmark_group("redist/validation_overhead");
     let src = mk(n, 16, DimFormat::Block(None));
     let dst = mk(n, 16, DimFormat::Cyclic(Some(4)));
     let keep: std::collections::BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -382,44 +377,8 @@ fn bench_fault_overhead(c: &mut Criterion) {
         })
     };
 
-    g.bench_function("validation_off", |b| bounce(ValidationLevel::Off, b));
-    g.bench_function("counts_on", |b| bounce(ValidationLevel::Counts, b));
-    g.bench_function("checksums_on", |b| bounce(ValidationLevel::Checksums, b));
-    g.finish();
-}
-
-/// What the transaction costs. `txn_on_default` is the default machine
-/// (no faults, no validation): the snapshot is armed only on the
-/// guarded path, so this must be indistinguishable from the plain
-/// cached bounce — the transactional machinery is one branch here.
-/// `txn_on_counts` runs guarded, so every bounce captures a rollback
-/// record (destination runs into the machine's reused scratch arena)
-/// and commits it. Every guarded remap is transactional, so this is
-/// the configuration of `redist/fault_overhead/counts_on`.
-fn bench_txn_overhead(c: &mut Criterion) {
-    use hpfc::runtime::ValidationLevel;
-
-    let n = 16384u64;
-    let mut g = c.benchmark_group("redist/txn_overhead");
-    let src = mk(n, 16, DimFormat::Block(None));
-    let dst = mk(n, 16, DimFormat::Cyclic(Some(4)));
-    let keep: std::collections::BTreeSet<u32> = [0u32, 1].into_iter().collect();
-
-    let bounce = |validation: ValidationLevel, b: &mut criterion::Bencher| {
-        let mut m = Machine::new(16).with_validation(validation);
-        let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
-        rt.current(&mut m, 0).fill(|p| p[0] as f64);
-        b.iter(|| {
-            rt.remap(&mut m, 1, &keep, false);
-            rt.set(&[0], 1.0); // stale the other copy: data moves every time
-            rt.remap(&mut m, 0, &keep, false);
-            rt.set(&[1], 1.0);
-            std::hint::black_box(&rt);
-        })
-    };
-
-    g.bench_function("txn_on_default", |b| bounce(ValidationLevel::Off, b));
-    g.bench_function("txn_on_counts", |b| bounce(ValidationLevel::Counts, b));
+    g.bench_function("off", |b| bounce(ValidationLevel::Off, b));
+    g.bench_function("checksums", |b| bounce(ValidationLevel::Checksums, b));
     g.finish();
 }
 
@@ -436,7 +395,6 @@ criterion_group!(
     bench_registry_sessions,
     bench_restore_bounce,
     bench_group_remap,
-    bench_fault_overhead,
-    bench_txn_overhead
+    bench_validation_overhead
 );
 criterion_main!(benches);

@@ -8,7 +8,9 @@
 //!
 //! Measurement is deliberately simple: a short warmup, then timed
 //! batches until a wall-clock budget is reached; the median per-iteration
-//! time is printed as `group/id ... <time>`. `--test` runs every bench
+//! time is printed as `group/id <median> (q1 <q1> – q3 <q3>)`, the
+//! interquartile range of the batch samples showing how far one run
+//! can be trusted. `--test` runs every bench
 //! exactly once (the CI smoke mode); a positional argument filters
 //! benchmarks by substring, as with real criterion.
 
@@ -126,8 +128,8 @@ impl Criterion {
         if self.test_mode {
             println!("test {id} ... ok");
         } else {
-            let t = b.median_ns();
-            println!("{id:<48} {}", fmt_ns(t));
+            let (q1, median, q3) = b.quartiles_ns();
+            println!("{id:<48} {} (q1 {} – q3 {})", fmt_ns(median), fmt_ns(q1), fmt_ns(q3));
         }
     }
 }
@@ -241,12 +243,14 @@ impl Bencher {
         }
     }
 
-    fn median_ns(&mut self) -> u64 {
+    /// `(q1, median, q3)` of the per-iteration samples.
+    fn quartiles_ns(&mut self) -> (u64, u64, u64) {
         if self.samples.is_empty() {
-            return 0;
+            return (0, 0, 0);
         }
         self.samples.sort_unstable();
-        self.samples[self.samples.len() / 2]
+        let at = |q: usize| self.samples[self.samples.len() * q / 4];
+        (at(1), at(2), at(3))
     }
 }
 

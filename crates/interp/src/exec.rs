@@ -332,9 +332,9 @@ impl<'a> Executor<'a> {
                 Ok(Flow::Normal)
             }
             SStmt::Remap(op) => {
-                // Transactional: if the guarded remap surfaces a typed
-                // error, the array was already rolled back to its
-                // pre-remap state, so `?` propagates a clean failure.
+                // A typed error from the pre-write checks left the array
+                // as it was; a checksum mismatch ends the run. Either
+                // way `?` propagates it.
                 frame.arrays[op.array.0 as usize].try_remap_guarded(
                     &mut self.machine,
                     op.target,

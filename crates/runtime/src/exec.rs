@@ -9,7 +9,7 @@
 //! # The one copy engine
 //!
 //! Every data movement in the runtime — a cached remap, a group remap,
-//! a recovery recompile, and the uncached
+//! and the uncached
 //! [`crate::VersionData::copy_values_from`] — goes through a
 //! [`CopyProgram`]. The positions of the copied runs are derived from
 //! the plan's periodic descriptors ([`PeriodicSet::count_below`], a
@@ -39,8 +39,7 @@
 //! — is one call of `replay_round` per round over a set of
 //! `Movers`: compiled programs bound to their (source, destination)
 //! version pairs, one for a solo copy, one per moving member for a
-//! group. The guarded replay of [`crate::fault`] calls the same routine
-//! inside its retry ladder. Within a round every processor has at most
+//! group. Within a round every processor has at most
 //! one partner, so a mover's receivers are pairwise distinct — each
 //! destination block is written by exactly one unit, and the round can
 //! be split across `std::thread::scope` workers without locks or
@@ -228,34 +227,21 @@ pub struct CopyProgram {
     /// Total elements delivered (local + remote, replicas counted) —
     /// equals `plan.local_elements + plan.remote_elements()`.
     pub total_elements: u64,
-    /// Integrity fingerprint over the triples and units, computed at
-    /// compile time. The guarded replay path recomputes it before
-    /// trusting a cached program ([`CopyProgram::integrity_ok`]): a
-    /// poisoned cache entry cannot keep its fingerprint consistent, so
-    /// corruption is detected *before* any position is dereferenced.
-    pub fingerprint: u64,
 }
 
 /// Why a plan did not become a [`CopyProgram`]
-/// ([`CopyProgram::compile_checked`] and the registry's contained
-/// compile).
+/// ([`CopyProgram::compile_checked`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompileDecline {
     /// The plan carries no per-dimension descriptors (e.g. one built by
     /// [`crate::plan_by_enumeration`]) or no mapping pair.
     NoDescriptors,
-    /// The plan → schedule → program compile panicked and was caught
-    /// (`catch_unwind` around the registry's compile-under-lock), so
-    /// the shard lock stays healthy and the caller retries a clean solo
-    /// compile.
-    Panicked,
 }
 
 impl std::fmt::Display for CompileDecline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CompileDecline::NoDescriptors => write!(f, "plan carries no descriptors"),
-            CompileDecline::Panicked => write!(f, "plan compilation panicked (contained)"),
         }
     }
 }
@@ -304,18 +290,10 @@ impl CopyProgram {
         CopyProgram::compile_inner(plan, schedule, false)
     }
 
-    /// Whether the stored fingerprint still matches the program's
-    /// contents — the cheap integrity check the guarded replay path
-    /// applies before trusting a cached program.
-    pub fn integrity_ok(&self) -> bool {
-        self.fingerprint
-            == program_fingerprint(
-                &self.fams,
-                &self.runs,
-                &self.local,
-                &self.rounds,
-                self.total_elements,
-            )
+    /// Every unit of the program: the local group, then the wire
+    /// rounds in order.
+    pub(crate) fn units(&self) -> impl Iterator<Item = &CopyUnit> {
+        self.local.iter().chain(self.rounds.iter().flatten())
     }
 
     /// [`CopyProgram::try_compile`], parameterized over whether empty
@@ -342,7 +320,6 @@ impl CopyProgram {
             } else {
                 Vec::new()
             };
-            let fingerprint = program_fingerprint(&[], &[], &[], &rounds, 0);
             return Ok(CopyProgram {
                 mappings,
                 fams: Vec::new(),
@@ -350,7 +327,6 @@ impl CopyProgram {
                 local: Vec::new(),
                 rounds,
                 total_elements: 0,
-                fingerprint,
             });
         }
         let per_dim = &plan.dims;
@@ -423,14 +399,13 @@ impl CopyProgram {
             plan.local_elements + plan.remote_elements(),
             "compiled program delivers exactly the planned volume"
         );
-        let fingerprint = program_fingerprint(&fams, &runs, &local, &rounds, total_elements);
-        Ok(CopyProgram { mappings, fams, runs, local, rounds, total_elements, fingerprint })
+        Ok(CopyProgram { mappings, fams, runs, local, rounds, total_elements })
     }
 
     /// Whether this program was compiled for exactly the
-    /// (`src`, `dst`) mapping pair — the guard every replay applies
-    /// before trusting the program's positions (an allocation-free
-    /// structural comparison).
+    /// (`src`, `dst`) mapping pair — the guard a replay applies before
+    /// trusting the program's positions (an allocation-free structural
+    /// comparison).
     pub fn compiled_for(&self, src: &VersionData, dst: &VersionData) -> bool {
         self.mappings.0 == src.mapping && self.mappings.1 == dst.mapping
     }
@@ -456,8 +431,8 @@ pub(crate) enum Movers<'a, 'm> {
     Pair(&'a VersionData, &'a mut VersionData),
     /// The members of a remap group (at most 64) whose bit is set in
     /// the mask; the slot is the member index. Every mover's source and
-    /// target copy must be allocated (the group checks this before
-    /// replaying).
+    /// target copy must be allocated (the group checks and allocates
+    /// them before replaying).
     Group(&'a mut [GroupMember<'m>], u64),
 }
 
@@ -480,8 +455,7 @@ impl Movers<'_, '_> {
             Movers::Group(members, mask) => {
                 for (i, m) in members.iter_mut().enumerate() {
                     if *mask & (1 << i) != 0 {
-                        let (src, dst) = version_pair(&mut m.rt.copies, m.src, m.target)
-                            .expect("group movers' copies are checked before the replay");
+                        let (src, dst) = version_pair(&mut m.rt.copies, m.src, m.target);
                         f(i, src, dst);
                     }
                 }
@@ -489,17 +463,16 @@ impl Movers<'_, '_> {
         }
     }
 
-    /// Visit every mover's units of `round` (see [`round_units`]), cut
-    /// to the first `cut` units of the round, with its program and
-    /// version pair. Movers with no units left are skipped.
-    pub(crate) fn each_round<'r>(
+    /// Visit every mover's units of `round` (see [`round_units`]) with
+    /// its program and version pair. Movers with no units in the round
+    /// are skipped.
+    fn each_round<'r>(
         &'r mut self,
         progs: &'r [CopyProgram],
         round: usize,
-        cut: usize,
         mut f: impl FnMut(&'r CopyProgram, &'r [CopyUnit], &'r VersionData, &'r mut VersionData),
     ) {
-        let mut units = round_units(progs, self.mask(), round, cut);
+        let mut units = round_units(progs, self.mask(), round);
         self.each(|_, src, dst| {
             let (slot, us) = units.next().expect("one unit list per mover");
             if !us.is_empty() {
@@ -511,67 +484,57 @@ impl Movers<'_, '_> {
 
 /// The movers' units of `round` — round 0 is the local group, round
 /// `r + 1` the program's wire round `r` — as `(slot, units)` in slot
-/// order, cut to the first `cut` units of the round's concatenated unit
-/// list. A fault on the round's shared wire buffer (truncation, a
-/// corrupted unit) indexes this concatenation, so it can land on any
-/// mover.
-pub(crate) fn round_units(
+/// order.
+fn round_units(
     progs: &[CopyProgram],
     movers: (usize, u64),
     round: usize,
-    cut: usize,
 ) -> impl Iterator<Item = (usize, &[CopyUnit])> {
-    let mut left = cut;
     slots_of(movers).map(move |i| {
         let p = &progs[i];
-        let all = match round {
+        let units = match round {
             0 => &p.local[..],
             r => p.rounds.get(r - 1).map_or(&[][..], Vec::as_slice),
         };
-        let take = all.len().min(left);
-        left -= take;
-        (i, &all[..take])
+        (i, units)
     })
 }
 
 /// The slots of a `(slot count, mask)` mover set ([`Movers::mask`]).
-pub(crate) fn slots_of((slots, mask): (usize, u64)) -> impl Iterator<Item = usize> {
+fn slots_of((slots, mask): (usize, u64)) -> impl Iterator<Item = usize> {
     (0..slots).filter(move |i| mask & (1 << i) != 0)
 }
 
 /// Rounds the movers replay: the local group plus the longest mover's
 /// wire rounds (a group's member programs all share the merged count).
-pub(crate) fn n_rounds(progs: &[CopyProgram], movers: (usize, u64)) -> usize {
+fn n_rounds(progs: &[CopyProgram], movers: (usize, u64)) -> usize {
     1 + slots_of(movers).map(|i| progs[i].rounds.len()).max().unwrap_or(0)
 }
 
-/// `(units, elements)` of one round across every mover, cut as in
-/// [`round_units`].
+/// `(units, elements)` of one round across every mover.
 pub(crate) fn round_load(
     progs: &[CopyProgram],
     movers: (usize, u64),
     round: usize,
-    cut: usize,
 ) -> (usize, u64) {
-    round_units(progs, movers, round, cut).fold((0, 0), |(n, w), (_, us)| {
+    round_units(progs, movers, round).fold((0, 0), |(n, w), (_, us)| {
         (n + us.len(), w + us.iter().map(|u| u.elements).sum::<u64>())
     })
 }
 
-/// Replay every round of every mover, unguarded: the allocation-free
-/// fast path when `threads == 1` or every round is below the inline
-/// threshold.
+/// Replay every round of every mover, in round order — allocation-free
+/// when `threads == 1` or every round is below the inline threshold.
 pub(crate) fn replay_rounds(progs: &[CopyProgram], movers: &mut Movers<'_, '_>, threads: usize) {
     let mask = movers.mask();
     for round in 0..n_rounds(progs, mask) {
-        let (units, weight) = round_load(progs, mask, round, usize::MAX);
+        let (units, weight) = round_load(progs, mask, round);
         if units > 0 {
-            replay_round(progs, movers, round, units, weight, threads, None);
+            replay_round(progs, movers, round, units, weight, threads);
         }
     }
 }
 
-/// The one round replay: move the first `cut` units of round `round`
+/// The one round replay: move the `units` units of round `round`
 /// (`weight` elements) of every mover. Rounds below
 /// [`PARALLEL_THRESHOLD`] elements, and every round when `threads` is
 /// 1, replay inline ([`round_goes_inline`]): a thread spawn costs tens
@@ -579,25 +542,23 @@ pub(crate) fn replay_rounds(progs: &[CopyProgram], movers: &mut Movers<'_, '_>, 
 /// Otherwise each unit is paired with its receiving block — receivers
 /// are distinct within a mover's round (caterpillar contention-freedom)
 /// and across movers (each writes its own array's storage) — and the
-/// pool is split across scoped workers (`replay_chunked`, whose
-/// `panic_chunk` hook injects a worker panic).
-pub(crate) fn replay_round(
+/// pool is split across scoped workers (`replay_chunked`).
+fn replay_round(
     progs: &[CopyProgram],
     movers: &mut Movers<'_, '_>,
     round: usize,
-    cut: usize,
+    units: usize,
     weight: u64,
     threads: usize,
-    panic_chunk: Option<usize>,
 ) {
     if threads > 1 && !round_goes_inline(weight) {
-        let mut paired: Vec<PairedUnit<'_>> = Vec::with_capacity(cut);
-        movers.each_round(progs, round, cut, |p, units, src, dst| {
+        let mut paired: Vec<PairedUnit<'_>> = Vec::with_capacity(units);
+        movers.each_round(progs, round, |p, units, src, dst| {
             pair_round_units(units, &p.fams, &p.runs, src, dst, &mut paired)
         });
-        replay_chunked(paired, weight, threads, panic_chunk);
+        replay_chunked(paired, weight, threads);
     } else {
-        movers.each_round(progs, round, cut, |p, units, src, dst| {
+        movers.each_round(progs, round, |p, units, src, dst| {
             for unit in units {
                 let sb = src.blocks[unit.provider as usize]
                     .as_ref()
@@ -613,7 +574,7 @@ pub(crate) fn replay_round(
 
 /// One parallel-replay work item: the receiving block, the providing
 /// block, the unit, and the family/run tables its ranges index.
-pub(crate) type PairedUnit<'a> =
+type PairedUnit<'a> =
     (&'a mut LocalBlock, &'a LocalBlock, CopyUnit, &'a [StrideFamily], &'a [CopyRun]);
 
 /// Pair one program's round units with their receiving blocks in a
@@ -622,7 +583,7 @@ pub(crate) type PairedUnit<'a> =
 /// (the caterpillar contention-freedom), so every `&mut` handed out is
 /// unique. Appends to `out` so callers can pool several programs'
 /// units (the group replay) before spawning.
-pub(crate) fn pair_round_units<'a>(
+fn pair_round_units<'a>(
     units: &'a [CopyUnit],
     fams: &'a [StrideFamily],
     runs: &'a [CopyRun],
@@ -652,20 +613,10 @@ pub(crate) fn pair_round_units<'a>(
 /// (`total` elements across `threads` workers) and replay each chunk
 /// on a scoped worker thread. Receivers are pairwise distinct across
 /// the whole `paired` list by construction, so no locks are needed.
-/// When `panic_chunk` is `Some(i)`, the worker running chunk `i` panics
-/// halfway through its units (the `WorkerPanic` fault):
-/// `std::thread::scope` propagates that panic at join, where the
-/// guarded replay catches it and degrades the round.
-pub(crate) fn replay_chunked(
-    paired: Vec<PairedUnit<'_>>,
-    total: u64,
-    threads: usize,
-    panic_chunk: Option<usize>,
-) {
+fn replay_chunked(paired: Vec<PairedUnit<'_>>, total: u64, threads: usize) {
     let target = total.div_ceil(threads as u64).max(1);
     std::thread::scope(|scope| {
         let mut rest = paired;
-        let mut idx = 0usize;
         while !rest.is_empty() {
             let mut weight = 0u64;
             let mut take = 0usize;
@@ -675,17 +626,11 @@ pub(crate) fn replay_chunked(
             }
             let tail = rest.split_off(take);
             let chunk = std::mem::replace(&mut rest, tail);
-            let boom = panic_chunk == Some(idx);
             scope.spawn(move || {
-                let half = chunk.len() / 2;
-                for (i, (db, sb, unit, fams, runs)) in chunk.into_iter().enumerate() {
-                    if boom && i == half {
-                        std::panic::panic_any(crate::fault::InjectedPanic);
-                    }
+                for (db, sb, unit, fams, runs) in chunk {
                     replay_unit(fams, runs, unit, sb, db);
                 }
             });
-            idx += 1;
         }
     });
 }
@@ -731,12 +676,6 @@ impl GroupCopyProgram {
         let total_elements = members.iter().map(|m| m.total_elements).sum();
         GroupCopyProgram { members, n_rounds: merged.rounds.len(), total_elements }
     }
-
-    /// Whether every member program's fingerprint still matches its
-    /// contents (see [`CopyProgram::integrity_ok`]).
-    pub fn integrity_ok(&self) -> bool {
-        self.members.iter().all(CopyProgram::integrity_ok)
-    }
 }
 
 /// Below this many elements a round is replayed inline even in
@@ -745,11 +684,9 @@ impl GroupCopyProgram {
 pub(crate) const PARALLEL_THRESHOLD: u64 = 1 << 15;
 
 /// The one inline-vs-parallel decision: a round of `total` elements
-/// replays inline iff it is strictly below [`PARALLEL_THRESHOLD`].
-/// The round replay (`replay_round`) and the fault plan's choice of
-/// which rounds a worker panic can hit both route through this
-/// predicate, so a round of exactly threshold size takes the same
-/// engine everywhere.
+/// replays inline iff it is strictly below [`PARALLEL_THRESHOLD`], so a
+/// round of exactly threshold size takes the same engine for a solo
+/// remap and a group.
 #[inline]
 pub(crate) fn round_goes_inline(total: u64) -> bool {
     total < PARALLEL_THRESHOLD
@@ -886,7 +823,7 @@ fn replay_runs(runs: &[CopyRun], unit: CopyUnit, src: &LocalBlock, dst: &mut Loc
 /// a blocked strided loop, irregular residue → families then the flat
 /// run loop.
 #[inline]
-pub(crate) fn replay_unit(
+fn replay_unit(
     fams: &[StrideFamily],
     runs: &[CopyRun],
     unit: CopyUnit,
@@ -987,141 +924,6 @@ fn record_combination(
             *ri = 0;
         }
     }
-}
-
-/// One 64-bit mixing step (splitmix64 finalizer) — shared by the
-/// program fingerprint and the fault plan's site hashing.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Fingerprint of a program's executable content: every stride family,
-/// every residual triple, every unit boundary (family and run ranges,
-/// kernel tag), and the totals. Any single-field corruption of a
-/// cached program changes the value, and memory corruption cannot keep
-/// the stored fingerprint consistent with recomputation.
-fn program_fingerprint(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    local: &[CopyUnit],
-    rounds: &[Vec<CopyUnit>],
-    total_elements: u64,
-) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    h = mix64(h ^ total_elements);
-    h = mix64(h ^ fams.len() as u64);
-    let mut eat = |words: &[u64]| {
-        for &w in words {
-            h = mix64(h ^ w);
-        }
-    };
-    for f in fams {
-        eat(&[f.src_base, f.dst_base, f.src_step, f.dst_step, f.count, f.len]);
-    }
-    eat(&[runs.len() as u64]);
-    for r in runs {
-        eat(&[r.src_pos, r.dst_pos, r.len]);
-    }
-    eat(&[rounds.len() as u64]);
-    for u in local.iter().chain(rounds.iter().flatten()) {
-        eat(&[u.provider, u.receiver, u.fams.0 as u64, u.fams.1 as u64]);
-        eat(&[u.runs.0 as u64, u.runs.1 as u64, u.elements, u.kernel as u64]);
-    }
-    h
-}
-
-/// Number of logical copy runs one unit performs: every run its
-/// stride families encode plus its residual triples — the per-unit
-/// slice of [`CopyProgram::n_runs`], used by the guarded replay's
-/// accounting.
-pub(crate) fn unit_n_runs(fams: &[StrideFamily], unit: CopyUnit) -> u64 {
-    fams[unit.fams.0..unit.fams.1].iter().map(|f| f.count).sum::<u64>()
-        + (unit.runs.1 - unit.runs.0) as u64
-}
-
-/// Sum of the *source* words one unit reads, as raw `f64` bits
-/// (wrapping). Together with [`unit_dst_sum`] this is the per-unit
-/// checksum of `HPFC_VALIDATE=checksums`: after a clean replay the two
-/// sums are equal; any scribbled destination word breaks the equality.
-pub(crate) fn unit_src_sum(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    unit: CopyUnit,
-    src: &LocalBlock,
-) -> u64 {
-    let mut sum = 0u64;
-    for f in &fams[unit.fams.0..unit.fams.1] {
-        let (mut s, ss, len) = (f.src_base as usize, f.src_step as usize, f.len as usize);
-        for _ in 0..f.count {
-            for w in &src.data[s..s + len] {
-                sum = sum.wrapping_add(w.to_bits());
-            }
-            s += ss;
-        }
-    }
-    for r in &runs[unit.runs.0..unit.runs.1] {
-        let (s, len) = (r.src_pos as usize, r.len as usize);
-        for w in &src.data[s..s + len] {
-            sum = sum.wrapping_add(w.to_bits());
-        }
-    }
-    sum
-}
-
-/// Sum of the *destination* words one unit wrote (see [`unit_src_sum`]).
-pub(crate) fn unit_dst_sum(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    unit: CopyUnit,
-    dst: &LocalBlock,
-) -> u64 {
-    let mut sum = 0u64;
-    for f in &fams[unit.fams.0..unit.fams.1] {
-        let (mut d, ds, len) = (f.dst_base as usize, f.dst_step as usize, f.len as usize);
-        for _ in 0..f.count {
-            for w in &dst.data[d..d + len] {
-                sum = sum.wrapping_add(w.to_bits());
-            }
-            d += ds;
-        }
-    }
-    for r in &runs[unit.runs.0..unit.runs.1] {
-        let (d, len) = (r.dst_pos as usize, r.len as usize);
-        for w in &dst.data[d..d + len] {
-            sum = sum.wrapping_add(w.to_bits());
-        }
-    }
-    sum
-}
-
-/// Flip one bit of the first word a unit delivered — the
-/// `CorruptRound` fault's scribble. Returns `false` when the unit has
-/// no runs to corrupt.
-pub(crate) fn flip_unit_word(
-    fams: &[StrideFamily],
-    runs: &[CopyRun],
-    unit: CopyUnit,
-    dst: &mut LocalBlock,
-) -> bool {
-    if let Some(f) = fams[unit.fams.0..unit.fams.1]
-        .iter()
-        .find(|f| f.count > 0 && f.len > 0)
-    {
-        let d = f.dst_base as usize;
-        dst.data[d] = f64::from_bits(dst.data[d].to_bits() ^ 1);
-        return true;
-    }
-    for r in &runs[unit.runs.0..unit.runs.1] {
-        if r.len > 0 {
-            let d = r.dst_pos as usize;
-            dst.data[d] = f64::from_bits(dst.data[d].to_bits() ^ 1);
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1368,45 +1170,10 @@ mod tests {
     #[test]
     fn inline_threshold_boundary_is_shared() {
         // The one inline-vs-parallel predicate: strictly below the
-        // threshold is inline, exactly the threshold is not — every
-        // dispatcher (solo, group, guarded, unguarded) uses this.
+        // threshold is inline, exactly the threshold is not — the solo
+        // and the group replay both use this.
         assert!(round_goes_inline(PARALLEL_THRESHOLD - 1));
         assert!(!round_goes_inline(PARALLEL_THRESHOLD));
         assert!(!round_goes_inline(PARALLEL_THRESHOLD + 1));
-    }
-
-    #[test]
-    fn fingerprint_detects_family_and_kernel_corruption() {
-        let src = mk(4096, 4, DimFormat::Block(None));
-        let dst = mk(4096, 4, DimFormat::Cyclic(None));
-        let (_, mut prog) = compiled(&src, &dst);
-        assert!(!prog.fams.is_empty());
-        assert!(prog.integrity_ok());
-        let orig = prog.fams[0];
-        prog.fams[0].src_step = prog.fams[0].src_step.wrapping_add(1);
-        assert!(!prog.integrity_ok(), "a scribbled family stride must be detected");
-        prog.fams[0] = orig;
-        prog.fams[0].count = prog.fams[0].count.wrapping_sub(1);
-        assert!(!prog.integrity_ok(), "a scribbled family count must be detected");
-        prog.fams[0] = orig;
-        assert!(prog.integrity_ok());
-        let k = prog.local[0].kernel;
-        prog.local[0].kernel = if k == Kernel::Mixed { Kernel::Gather } else { Kernel::Mixed };
-        assert!(!prog.integrity_ok(), "a scribbled kernel tag must be detected");
-    }
-
-    #[test]
-    fn fingerprint_detects_single_field_corruption() {
-        let src = mk(64, 4, DimFormat::Block(None));
-        let dst = mk(64, 4, DimFormat::Cyclic(Some(3)));
-        let (_, mut prog) = compiled(&src, &dst);
-        assert!(prog.integrity_ok());
-        let orig = prog.runs[0];
-        prog.runs[0].src_pos = prog.runs[0].src_pos.wrapping_add(1);
-        assert!(!prog.integrity_ok(), "a scribbled triple must be detected");
-        prog.runs[0] = orig;
-        assert!(prog.integrity_ok());
-        prog.fingerprint ^= 1;
-        assert!(!prog.integrity_ok(), "a scribbled fingerprint must be detected");
     }
 }

@@ -22,12 +22,13 @@
 //! replayed round by round from the group's compiled
 //! [`GroupCopyProgram`].
 //!
-//! A solo remap is the one-member case of the same machinery: one
-//! transaction (`transact`), one recovery driver
-//! ([`crate::fault`]), one round replay (`exec::replay_round`),
-//! called with one mover for a solo remap and with the masked members
-//! for a group. The replay is allocation-free in steady state and safe
-//! under [`crate::ExecMode::Parallel`]: within a merged round, every
+//! A group runs the same three steps as a solo remap, member by
+//! member: the pre-write checks of [`crate::fault`] on *every* member
+//! before any member executes, then the remaps — the masked movers as
+//! one call of the round replay, the rest on their own — then the
+//! liveness cleaning once every member has succeeded. The replay is
+//! allocation-free in steady state and safe under
+//! [`crate::ExecMode::Parallel`]: within a merged round, every
 //! receiving *block* is written by exactly one unit — receivers are
 //! distinct per member, and different members write different arrays'
 //! storage.
@@ -36,12 +37,11 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::exec::{GroupCopyProgram, Movers};
-use crate::fault::{poison_program, ExecError};
+use crate::fault::{replay_checked, ExecError};
 use crate::machine::Machine;
 use crate::redist::RedistPlan;
 use crate::schedule::CommSchedule;
-use crate::status::{version_pair, ArrayRt, PlannedRemap};
-use crate::store::TxnScratch;
+use crate::status::{ArrayRt, PlannedRemap};
 
 /// The compile-time artifact of one directive's remap group: the
 /// members' solo plans (shared `Arc`s with each member's own
@@ -139,15 +139,10 @@ pub fn remap_group(
 
 /// [`remap_group`] returning a typed [`ExecError`] instead of
 /// panicking: a member-count mismatch with the planned group and any
-/// unrecoverable member remap surface as errors. With faults or
-/// validation configured on the machine, the coalesced replay runs
-/// through the same recovery driver as a solo remap (retry failed
-/// rounds → recompile the group program → typed error), with worker
-/// panics degrading the round to serial.
-///
-/// **Atomic**: the group commits all members or none — see
-/// `transact`, the one remap transaction, which a solo remap also
-/// runs as a one-member group.
+/// member failing its pre-write checks surface as errors. Every member
+/// is checked before any member executes, so such an error leaves every
+/// member and the machine untouched. Under `HPFC_VALIDATE=checksums` a
+/// checksum mismatch after the replay is returned at once.
 pub fn try_remap_group(
     machine: &mut Machine,
     members: &mut [GroupMember<'_>],
@@ -177,140 +172,58 @@ pub fn try_remap_group(
     if mask.count_ones() < 2 {
         mask = 0; // nothing to coalesce: every member remaps on its own
     }
-    transact(machine, members, |machine, members, snaps| {
-        remap_group_body(machine, members, planned, mask, snaps)
-    })
+    // Pre-write checks, every member before any member executes.
+    for (i, m) in members.iter_mut().enumerate() {
+        if mask & (1 << i) == 0 {
+            m.rt.check_remap(machine, m.target, false, m.skip_if_current)?;
+        } else {
+            m.rt.check_move(&planned.program.members[i], m.src, m.target)?;
+        }
+    }
+    let moved = remap_members(machine, members, planned, mask)?;
+    for m in members.iter_mut() {
+        m.rt.clean_copies(machine, m.target, m.may_live);
+    }
+    Ok(moved)
 }
 
-/// The one remap transaction, run by every remap group and by every
-/// solo remap as a one-member group: the members commit all together
-/// or not at all.
-///
-/// On the guarded path each member's array state (status, live flags,
-/// whether the target copy exists) is recorded before anything
-/// executes, and each mover adds the destination bytes its replay
-/// overwrites right before replaying. Liveness cleaning is deferred
-/// until every member committed (cleaning frees copies a rollback could
-/// not restore), and any member's terminal error rolls *every* member —
-/// already-replayed siblings included — back to its byte-identical
-/// pre-remap state before the error surfaces (`NetStats::rollbacks`).
-/// The unguarded path captures nothing: with no faults injected and no
-/// validation demanded, its replay cannot fail after writes begin.
-pub(crate) fn transact<'m, T>(
-    machine: &mut Machine,
-    members: &mut [GroupMember<'m>],
-    body: impl FnOnce(
-        &mut Machine,
-        &mut [GroupMember<'m>],
-        Option<&mut [TxnScratch]>,
-    ) -> Result<T, ExecError>,
-) -> Result<T, ExecError> {
-    let guarded = machine.guarded();
-    let mut snaps = std::mem::take(&mut machine.txn_scratch);
-    if guarded {
-        if snaps.len() < members.len() {
-            snaps.resize_with(members.len(), Default::default);
-        }
-        for (s, m) in snaps.iter_mut().zip(members.iter()) {
-            s.begin(m.rt.status, &m.rt.live, m.rt.copies[m.target as usize].is_some());
-        }
-    }
-    let armed = if guarded { Some(&mut snaps[..members.len()]) } else { None };
-    let out = body(machine, members, armed);
-    match &out {
-        Ok(_) => {
-            for m in members.iter_mut() {
-                m.rt.clean_copies(machine, m.target, m.may_live);
-            }
-        }
-        Err(_) if guarded => {
-            machine.stats.rollbacks += 1;
-            for (m, s) in members.iter_mut().zip(snaps.iter_mut()).rev() {
-                m.rt.rollback_remap(machine, m.target, s);
-            }
-        }
-        Err(_) => {}
-    }
-    for s in snaps.iter_mut() {
-        s.captured = false;
-    }
-    machine.txn_scratch = snaps;
-    out
-}
-
-/// The execution half of [`try_remap_group`], inside its transaction.
-/// Members outside `mask` remap on their own (`ArrayRt::remap_body`:
-/// a no-op, a live-copy reuse, or a one-mover replay of their seeded
-/// solo plan); the masked movers are costed over the merged rounds and
-/// replayed together, as one call of the recovery driver.
-fn remap_group_body(
+/// The execution half of [`try_remap_group`], after every member passed
+/// its checks. Members outside `mask` remap on their own (a no-op, a
+/// live-copy reuse, or a one-mover replay of their seeded solo plan);
+/// the masked movers are allocated, costed over the merged rounds and
+/// replayed together.
+fn remap_members(
     machine: &mut Machine,
     members: &mut [GroupMember<'_>],
     planned: &PlannedGroup,
     mask: u64,
-    mut snaps: Option<&mut [TxnScratch]>,
 ) -> Result<usize, ExecError> {
     for (i, m) in members.iter_mut().enumerate() {
         if mask & (1 << i) == 0 {
-            let snap = snaps.as_deref_mut().map(|s| &mut s[i]);
-            m.rt.remap_body(machine, m.target, false, m.skip_if_current, snap)?;
+            m.rt.apply_remap(machine, m.target, false, m.skip_if_current)?;
         }
     }
     if mask == 0 {
         return Ok(0);
     }
-    // The coalesced movement: allocate targets, record what the replay
-    // overwrites, cost the merged rounds restricted to the movers,
-    // replay the group program.
     for (i, m) in members.iter_mut().enumerate() {
-        if mask & (1 << i) == 0 {
-            continue;
-        }
-        m.rt.ensure_allocated(machine, m.target);
-        let (src, dst) = version_pair(&mut m.rt.copies, m.src, m.target)
-            .ok_or_else(|| ExecError::MissingCopy { array: m.rt.name.clone(), version: m.src })?;
-        if let Some(s) = snaps.as_deref_mut() {
-            s[i].capture_bytes(src, dst, &planned.program.members[i]);
+        if mask & (1 << i) != 0 {
+            m.rt.ensure_allocated(machine, m.target);
         }
     }
     for r in 0..planned.schedule.rounds.len() {
         machine.account_phase(planned.schedule.round_triples_masked(r, mask));
     }
-    let epoch = machine.next_fault_epoch();
-    // PoisonProgram: replay a corrupted clone of the group program —
-    // what a damaged shared plan registry would serve. (The planned
-    // group itself is borrowed, so unlike the solo cache the poison
-    // cannot persist past this call.)
-    let poisoned = machine.faults.is_some_and(|f| f.poison_fires(epoch)).then(|| {
-        machine.stats.faults_injected += 1;
-        let mut bad = planned.program.clone();
-        bad.members.iter_mut().for_each(poison_program);
-        bad
-    });
-    let recompile = || {
-        let plans: Vec<&RedistPlan> = planned.members.iter().map(|m| &m.plan).collect();
-        Some(GroupCopyProgram::compile(&plans, &planned.schedule).members)
-    };
-    // One (runs, elements) slot per member: groups of more than 64
-    // members never coalesce.
-    let mut tally = [(0u64, 0u64); 64];
-    crate::fault::replay_with_recovery(
-        machine,
-        &poisoned.as_ref().unwrap_or(&planned.program).members,
-        recompile,
-        &mut Movers::Group(members, mask),
-        epoch,
-        &mut tally,
-    )?;
+    replay_checked(machine, &planned.program.members, &mut Movers::Group(members, mask))?;
     machine.stats.remap_groups_coalesced += 1;
     for (i, m) in members.iter_mut().enumerate() {
         if mask & (1 << i) == 0 {
             continue;
         }
-        let (runs, elements) = tally[i];
+        let program = &planned.program.members[i];
         machine.stats.remaps_performed += 1;
-        machine.stats.runs_copied += runs;
-        machine.stats.bytes_moved += elements * m.rt.elem_size;
+        machine.stats.runs_copied += program.n_runs();
+        machine.stats.bytes_moved += program.n_elements() * m.rt.elem_size;
         machine.stats.local_elements += planned.members[i].plan.local_elements;
         m.rt.live[m.target as usize] = true;
         m.rt.status = Some(m.target);
@@ -488,7 +401,7 @@ mod tests {
             );
             let gp = &fwd.program;
             for round in 0..=gp.n_rounds {
-                let (_, w) = round_load(&gp.members, (2, 0b11), round, usize::MAX);
+                let (_, w) = round_load(&gp.members, (2, 0b11), round);
                 assert_eq!(w, PARALLEL_THRESHOLD, "merged round sits exactly at the boundary");
             }
             let mut machine = machine.with_exec_mode(mode);

@@ -44,15 +44,12 @@
 //!   ([`hpfc_mapping::intern`]) and shared by every array, program,
 //!   and interpreter session; per-array plan caches are thin views
 //!   that seed from and publish to it;
-//! * [`fault::FaultPlan`] — deterministic fault injection
-//!   (`HPFC_FAULTS`), per-round validation (`HPFC_VALIDATE`), and the
-//!   self-healing recovery ladder behind [`status::ArrayRt::remap_guarded`]
-//!   and [`group::remap_group`]: retry → recompile → typed
-//!   [`fault::ExecError`]. Guarded remaps are transactional: a terminal
-//!   error rolls the destination back to its exact pre-remap state —
-//!   bytes, status, and live flags — and a group commits all members
-//!   or none. Poisoned registry shard locks recover instead of
-//!   cascading.
+//! * [`fault`] — the failure model: typed [`fault::ExecError`]s from
+//!   pre-write checks that run before a remap allocates, bills or
+//!   writes anything (for a group, on every member before any member
+//!   executes), and an optional post-replay checksum
+//!   (`HPFC_VALIDATE=checksums`, [`fault::ValidationLevel`]) whose
+//!   mismatch is reported at once as a compiler bug.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,7 +66,7 @@ pub mod store;
 
 pub use exec::{CompileDecline, CopyProgram, CopyRun, CopyUnit, ExecMode, GroupCopyProgram, Kernel,
               StrideFamily};
-pub use fault::{ExecError, FaultKind, FaultPlan, ValidationLevel};
+pub use fault::{ExecError, ValidationLevel};
 pub use group::{remap_group, try_remap_group, GroupMember, PlannedGroup};
 pub use machine::{CostModel, Machine, NetStats};
 pub use redist::{plan_by_enumeration, plan_redistribution, RedistPlan, Transfer};

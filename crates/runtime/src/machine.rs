@@ -83,19 +83,6 @@ pub struct NetStats {
     /// member still counts in `remaps_performed`; a group whose members
     /// fall back to solo remaps does not count here).
     pub remap_groups_coalesced: u64,
-    /// Faults injected by the configured [`crate::FaultPlan`] (chaos
-    /// testing only; zero in production runs).
-    pub faults_injected: u64,
-    /// Replay rounds retried by the recovery ladder after a detected
-    /// fault (rung 1).
-    pub rounds_retried: u64,
-    /// Copy programs recompiled from their cached plan after a round
-    /// could not be healed by retrying, or after a cached program
-    /// failed its integrity check (rung 2).
-    pub programs_recompiled: u64,
-    /// Parallel rounds degraded to serial replay after a worker panic
-    /// was caught.
-    pub parallel_degradations: u64,
     /// Compiled artifacts this machine was served by the shared
     /// [`crate::PlanRegistry`] (a local plan-cache miss answered
     /// without compiling anything).
@@ -105,14 +92,6 @@ pub struct NetStats {
     pub registry_misses: u64,
     /// LRU entries this machine's registry insertions pushed out.
     pub registry_evictions: u64,
-    /// Remap transactions rolled back all-or-nothing — a solo remap or
-    /// a whole remap group: a terminal [`crate::ExecError`] surfaced
-    /// only after every array of the transaction was restored
-    /// byte-identical to its pre-remap state.
-    pub rollbacks: u64,
-    /// Registry lock acquisitions that recovered a poisoned shard lock
-    /// (`Mutex::into_inner` instead of an `unwrap` panic).
-    pub lock_poison_recoveries: u64,
 }
 
 impl NetStats {
@@ -132,21 +111,14 @@ impl NetStats {
         self.runs_copied += o.runs_copied;
         self.restores_replayed += o.restores_replayed;
         self.remap_groups_coalesced += o.remap_groups_coalesced;
-        self.faults_injected += o.faults_injected;
-        self.rounds_retried += o.rounds_retried;
-        self.programs_recompiled += o.programs_recompiled;
-        self.parallel_degradations += o.parallel_degradations;
         self.registry_hits += o.registry_hits;
         self.registry_misses += o.registry_misses;
         self.registry_evictions += o.registry_evictions;
-        self.rollbacks += o.rollbacks;
-        self.lock_poison_recoveries += o.lock_poison_recoveries;
     }
 
     /// One-line human-readable digest (experiment drivers, examples).
-    /// The registry segment (`registry ...`) and recovery tail
-    /// (`faults ... degraded ...`) are appended only when something
-    /// actually fired, so solo fault-free runs read as before.
+    /// The registry segment (`registry ...`) is appended only when the
+    /// registry was consulted.
     pub fn summary(&self) -> String {
         let mut s = format!(
             "msgs {} | wire {} B | moved {} B in {} runs | local els {} | time {:.1} µs | \
@@ -172,25 +144,6 @@ impl NetStats {
             s.push_str(&format!(
                 " | registry {} hits / {} misses / {} evicted",
                 self.registry_hits, self.registry_misses, self.registry_evictions,
-            ));
-        }
-        let recovery = self.faults_injected
-            + self.rounds_retried
-            + self.programs_recompiled
-            + self.parallel_degradations;
-        if recovery > 0 {
-            s.push_str(&format!(
-                " | faults {} (retried {}, recompiled {}, degraded {})",
-                self.faults_injected,
-                self.rounds_retried,
-                self.programs_recompiled,
-                self.parallel_degradations,
-            ));
-        }
-        if self.rollbacks + self.lock_poison_recoveries > 0 {
-            s.push_str(&format!(
-                " | txn rolled back {}, locks recovered {}",
-                self.rollbacks, self.lock_poison_recoveries,
             ));
         }
         s
@@ -274,13 +227,8 @@ pub struct Machine {
     /// or scoped worker threads). Defaults to the `HPFC_THREADS`
     /// environment variable via [`ExecMode::from_env`].
     pub exec_mode: ExecMode,
-    /// Deterministic fault injection for chaos testing (`HPFC_FAULTS`
-    /// env or [`Machine::with_faults`]); `None` in production runs.
-    pub faults: Option<crate::fault::FaultPlan>,
-    /// How much the guarded replay verifies per round
-    /// (`HPFC_VALIDATE` env or [`Machine::with_validation`]). With
-    /// faults unset and validation [`crate::ValidationLevel::Off`], the
-    /// remap path is the unguarded allocation-free fast path.
+    /// What a remap verifies after its replay (`HPFC_VALIDATE` env or
+    /// [`Machine::with_validation`]): nothing, or one checksum pass.
     pub validation: crate::fault::ValidationLevel,
     /// The plan registry this machine seeds from and publishes to on
     /// local plan-cache misses. Defaults to the process-wide instance
@@ -289,17 +237,6 @@ pub struct Machine {
     pub registry: std::sync::Arc<crate::registry::PlanRegistry>,
     /// Reusable per-phase accounting buffers.
     scratch: PhaseScratch,
-    /// Reusable rollback records, one per array of a remap transaction
-    /// (one for a solo remap, one per member for a group): on the
-    /// guarded path each is captured before the replay writes, and a
-    /// terminal [`crate::ExecError`] restores every array byte-identical
-    /// to its pre-remap state (capacity persists across remaps, keeping
-    /// the armed snapshot allocation-free).
-    pub(crate) txn_scratch: Vec<crate::store::TxnScratch>,
-    /// Monotonic counter handed to the fault plan: one epoch per
-    /// data-moving remap, making injection deterministic per operation
-    /// regardless of execution mode.
-    fault_epoch: u64,
 }
 
 impl Machine {
@@ -311,12 +248,9 @@ impl Machine {
             stats: NetStats::default(),
             mem: MemTracker::default(),
             exec_mode: ExecMode::from_env(),
-            faults: crate::fault::FaultPlan::from_env(),
             validation: crate::fault::ValidationLevel::from_env(),
             registry: std::sync::Arc::clone(crate::registry::PlanRegistry::global()),
             scratch: PhaseScratch::default(),
-            txn_scratch: Vec::new(),
-            fault_epoch: 0,
         }
     }
 
@@ -331,13 +265,7 @@ impl Machine {
         self
     }
 
-    /// Builder-style fault-injection plan (chaos testing).
-    pub fn with_faults(mut self, plan: crate::fault::FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Builder-style validation level for the guarded replay.
+    /// Builder-style validation level.
     pub fn with_validation(mut self, level: crate::fault::ValidationLevel) -> Self {
         self.validation = level;
         self
@@ -353,21 +281,6 @@ impl Machine {
     ) -> Self {
         self.registry = registry;
         self
-    }
-
-    /// Whether remaps run guarded — validated, fault-injected and
-    /// transactional — rather than on the unguarded fast path.
-    pub(crate) fn guarded(&self) -> bool {
-        self.faults.is_some() || self.validation != crate::fault::ValidationLevel::Off
-    }
-
-    /// The next fault epoch — bumped once per data-moving remap so the
-    /// stateless [`crate::FaultPlan`] decides deterministically per
-    /// operation.
-    pub(crate) fn next_fault_epoch(&mut self) -> u64 {
-        let e = self.fault_epoch;
-        self.fault_epoch += 1;
-        e
     }
 
     /// Account one communication phase given per-(sender, receiver)
@@ -461,8 +374,7 @@ mod tests {
     /// Every counter set, no `..Default::default()` anywhere: adding a
     /// `NetStats` field without wiring it through `merge()` (and this
     /// test) fails to compile here, and a field `merge()` silently
-    /// drops fails the per-field assertions — the way `faults_injected`
-    /// and friends could once have been lost.
+    /// drops fails the per-field assertions.
     #[test]
     fn stats_merge_and_summary_carry_every_field() {
         let mk = |base: u64| NetStats {
@@ -480,15 +392,9 @@ mod tests {
             runs_copied: base + 11,
             restores_replayed: base + 12,
             remap_groups_coalesced: base + 13,
-            faults_injected: base + 14,
-            rounds_retried: base + 15,
-            programs_recompiled: base + 16,
-            parallel_degradations: base + 17,
-            registry_hits: base + 18,
-            registry_misses: base + 19,
-            registry_evictions: base + 20,
-            rollbacks: base + 21,
-            lock_poison_recoveries: base + 22,
+            registry_hits: base + 14,
+            registry_misses: base + 15,
+            registry_evictions: base + 16,
         };
         let mut merged = mk(100);
         merged.merge(&mk(1000));
@@ -509,15 +415,9 @@ mod tests {
             runs_copied,
             restores_replayed,
             remap_groups_coalesced,
-            faults_injected,
-            rounds_retried,
-            programs_recompiled,
-            parallel_degradations,
             registry_hits,
             registry_misses,
             registry_evictions,
-            rollbacks,
-            lock_poison_recoveries,
         } = merged;
         assert_eq!(messages, 101 + 1001);
         assert_eq!(bytes, 102 + 1002);
@@ -533,20 +433,14 @@ mod tests {
         assert_eq!(runs_copied, 111 + 1011);
         assert_eq!(restores_replayed, 112 + 1012);
         assert_eq!(remap_groups_coalesced, 113 + 1013);
-        assert_eq!(faults_injected, 114 + 1014);
-        assert_eq!(rounds_retried, 115 + 1015);
-        assert_eq!(programs_recompiled, 116 + 1016);
-        assert_eq!(parallel_degradations, 117 + 1017);
-        assert_eq!(registry_hits, 118 + 1018);
-        assert_eq!(registry_misses, 119 + 1019);
-        assert_eq!(registry_evictions, 120 + 1020);
-        assert_eq!(rollbacks, 121 + 1021);
-        assert_eq!(lock_poison_recoveries, 122 + 1022);
-        // With every counter nonzero, all conditional summary segments
-        // print, and every u64 counter's value appears verbatim —
+        assert_eq!(registry_hits, 114 + 1014);
+        assert_eq!(registry_misses, 115 + 1015);
+        assert_eq!(registry_evictions, 116 + 1016);
+        // With every counter nonzero, the conditional registry segment
+        // prints, and every u64 counter's value appears verbatim —
         // summary() cannot silently omit a field either.
         let s = mk(200).summary();
-        for v in 201..=222u64 {
+        for v in 201..=216u64 {
             assert!(s.contains(&v.to_string()), "summary misses {v}: {s}");
         }
         assert!(s.contains("200.5"), "summary misses time_us: {s}");

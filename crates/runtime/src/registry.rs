@@ -31,31 +31,14 @@
 //! probe, `Arc` clone out), preserving the zero-allocation cached
 //! bounce pinned by the counting-allocator test.
 //!
-//! # Corruption does not fan out
+//! # Locks
 //!
-//! PR 6's fingerprinted programs and recovery ladder are what make a
-//! *shared* registry safe: a poisoned entry served to any session is
-//! detected by its fingerprint, recompiled once, and the healthy
-//! artifact is re-[`install`](PlanRegistry::install)ed registry-wide —
-//! later sessions are never handed the corrupt artifact.
-//!
-//! # Neither do panics
-//!
-//! Shared state must also survive *misbehaving clients*. Two layers:
-//!
-//! * **Lock-poison recovery** — a thread that panics while holding a
-//!   shard `Mutex` poisons it; every lock here recovers via
-//!   `into_inner` (counted in
-//!   [`lock_recoveries`](PlanRegistry::lock_recoveries)) instead of
-//!   `unwrap`-panicking, so one crashed session can never deny service
-//!   to the rest of the process. This is sound because shard state is
-//!   a map of immutable `Arc`s: a panic mid-update can at worst lose an
-//!   insertion, which the next miss recompiles.
-//! * **Contained compiles** — the compile-under-lock is wrapped in
-//!   `catch_unwind`, so a panicking compile surfaces as a typed
-//!   [`crate::CompileDecline::Panicked`]
-//!   ([`try_get_or_compile`](PlanRegistry::try_get_or_compile)) with
-//!   the shard lock released healthy.
+//! Shard state is a map of immutable `Arc`s, and a compile runs to
+//! completion before its insert, so a thread that panics while holding
+//! a shard lock leaves the map consistent. Every lock is taken through
+//! one helper that accepts a poisoned guard
+//! (`lock().unwrap_or_else(PoisonError::into_inner)`), so one crashed
+//! session does not deny the registry to the others.
 //!
 //! # Configuration
 //!
@@ -65,9 +48,8 @@
 //! handed a private [`PlanRegistry::new`] instead.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
 use hpfc_mapping::intern;
 use hpfc_mapping::NormalizedMapping;
@@ -92,9 +74,6 @@ pub struct RegistryOutcome {
     pub hit: bool,
     /// How many LRU entries this access pushed out.
     pub evicted: u64,
-    /// How many poisoned locks this access recovered via `into_inner`
-    /// (folded into `NetStats::lock_poison_recoveries`).
-    pub lock_recoveries: u64,
 }
 
 /// Key of one entry: the interned pair's pointer (identity) plus the
@@ -138,7 +117,6 @@ pub struct PlanRegistry {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    poison_recoveries: AtomicU64,
 }
 
 impl std::fmt::Debug for PlanRegistry {
@@ -169,7 +147,6 @@ impl PlanRegistry {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
         }
     }
 
@@ -182,30 +159,10 @@ impl PlanRegistry {
         &GLOBAL
     }
 
-    /// Lock `m`, recovering from poisoning via `into_inner` instead of
-    /// propagating the panic. Sound for every lock here: shard state is
-    /// maps of immutable `Arc`s plus monotone counters, and the only
-    /// panics possible under a lock (compile panics are caught before
-    /// they unwind past the guard) leave at worst a missing insertion,
-    /// which the next miss recompiles. Returns the recovery count
-    /// (0 or 1) for the caller's [`RegistryOutcome`].
-    fn lock_recover<'a, T>(&self, m: &'a Mutex<T>) -> (MutexGuard<'a, T>, u64) {
-        match m.lock() {
-            Ok(g) => (g, 0),
-            Err(poisoned) => {
-                // Clear the flag so one panic is one recovery, not one
-                // per access forever after.
-                m.clear_poison();
-                self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-                (poisoned.into_inner(), 1)
-            }
-        }
-    }
-
     fn shard_of(&self, key: PlanKey) -> &Mutex<Shard> {
         // The key's pointer component is allocation-aligned; mix the
         // low bits away so consecutive allocations spread over shards.
-        let mixed = crate::exec::mix64(key.0 as u64 ^ key.1.rotate_left(32));
+        let mixed = mix64(key.0 as u64 ^ key.1.rotate_left(32));
         &self.shards[(mixed as usize) % self.shards.len()]
     }
 
@@ -242,79 +199,28 @@ impl PlanRegistry {
         dst: &NormalizedMapping,
         elem_size: u64,
     ) -> (Arc<PlannedRemap>, RegistryOutcome) {
-        match self.lookup_or_compile(src, dst, elem_size, false) {
-            (Ok(planned), out) => (planned, out),
-            // A genuinely panicking compile: re-raise it *outside* the
-            // shard lock, so the registry stays healthy for everyone
-            // else even on this legacy infallible-signature path.
-            (Err(payload), _) => std::panic::resume_unwind(payload),
-        }
-    }
-
-    /// [`PlanRegistry::get_or_compile`] with compile panics contained:
-    /// a panicking compile (injected via `force_panic`, or real) is
-    /// caught by `catch_unwind` *inside* the critical section, so the
-    /// shard `Mutex` is released healthy — never poisoned — and the
-    /// caller gets a typed [`crate::CompileDecline::Panicked`] to
-    /// recover from (a clean solo compile). Nothing is registered and
-    /// no miss is counted for a declined compile.
-    pub fn try_get_or_compile(
-        &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
-        force_panic: bool,
-    ) -> (Result<Arc<PlannedRemap>, crate::CompileDecline>, RegistryOutcome) {
-        let (res, out) = self.lookup_or_compile(src, dst, elem_size, force_panic);
-        (res.map_err(|_| crate::CompileDecline::Panicked), out)
-    }
-
-    /// Common body of the two lookups; `Err` carries the caught panic
-    /// payload (the shard guard is already dropped, unpoisoned).
-    #[allow(clippy::type_complexity)]
-    fn lookup_or_compile(
-        &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
-        force_panic: bool,
-    ) -> (Result<Arc<PlannedRemap>, Box<dyn std::any::Any + Send>>, RegistryOutcome) {
         let pair = intern::pair(src, dst);
         let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
-        let (mut shard, rec) = self.lock_recover(self.shard_of(key));
-        let mut out = RegistryOutcome { lock_recoveries: rec, ..Default::default() };
+        let mut shard = lock(self.shard_of(key));
+        let mut out = RegistryOutcome::default();
         shard.clock += 1;
         let stamp = shard.clock;
         if let Some(e) = shard.map.get_mut(&key) {
             e.stamp = stamp;
             self.hits.fetch_add(1, Ordering::Relaxed);
             out.hit = true;
-            return (Ok(Arc::clone(&e.planned)), out);
+            return (Arc::clone(&e.planned), out);
         }
         // Compile the whole pipeline under the shard lock: a second
         // session asking for this pair waits here and then hits.
         // (`plan_redistribution` re-interns the pair — a pure lookup,
-        // returning the same pointer we key by.) The `catch_unwind`
-        // stops a panicking compile before it unwinds past the guard —
-        // the lock is never poisoned by a compile.
-        let compiled = catch_unwind(AssertUnwindSafe(|| {
-            if force_panic {
-                std::panic::panic_any(crate::fault::InjectedPanic);
-            }
-            Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem_size)))
-        }));
-        let planned = match compiled {
-            Ok(p) => p,
-            Err(payload) => {
-                drop(shard);
-                return (Err(payload), out);
-            }
-        };
+        // returning the same pointer we key by.)
+        let planned = Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, elem_size)));
         shard.map.insert(key, Entry { planned: Arc::clone(&planned), stamp });
         out.evicted = Self::evict_over_cap(&mut shard, self.shard_cap);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
-        (Ok(planned), out)
+        (planned, out)
     }
 
     /// Publish an artifact compiled elsewhere (lowering, a seeded
@@ -326,8 +232,8 @@ impl PlanRegistry {
         let Some(key) = Self::key_of(&planned) else {
             return (planned, RegistryOutcome::default());
         };
-        let (mut shard, rec) = self.lock_recover(self.shard_of(key));
-        let mut out = RegistryOutcome { lock_recoveries: rec, ..Default::default() };
+        let mut shard = lock(self.shard_of(key));
+        let mut out = RegistryOutcome::default();
         shard.clock += 1;
         let stamp = shard.clock;
         if let Some(e) = shard.map.get_mut(&key) {
@@ -341,21 +247,6 @@ impl PlanRegistry {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
         (planned, out)
-    }
-
-    /// Replace the registered artifact for `planned`'s pair —
-    /// unconditionally. This is the repair (and fault-injection) hook:
-    /// when a session detects a poisoned program and recompiles it, the
-    /// healthy artifact is installed registry-wide so no later session
-    /// is served the corrupt one. Counts neither hit nor miss.
-    pub fn install(&self, planned: Arc<PlannedRemap>) {
-        let Some(key) = Self::key_of(&planned) else { return };
-        let (mut shard, _) = self.lock_recover(self.shard_of(key));
-        shard.clock += 1;
-        let stamp = shard.clock;
-        shard.map.insert(key, Entry { planned, stamp });
-        let evicted = Self::evict_over_cap(&mut shard, self.shard_cap);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// The shared directive-level group artifact for `members` (in
@@ -372,8 +263,8 @@ impl PlanRegistry {
         let Some(keys) = keys else {
             return (Arc::new(PlannedGroup::compile(members)), RegistryOutcome::default());
         };
-        let (mut groups, rec) = self.lock_recover(&self.groups);
-        let mut out = RegistryOutcome { lock_recoveries: rec, ..Default::default() };
+        let mut groups = lock(&self.groups);
+        let mut out = RegistryOutcome::default();
         groups.clock += 1;
         let stamp = groups.clock;
         if let Some(e) = groups.map.get_mut(&keys[..]) {
@@ -404,7 +295,7 @@ impl PlanRegistry {
 
     /// Registered solo entries across all shards (groups not counted).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| self.lock_recover(s).0.map.len()).sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// Whether no solo entry is registered.
@@ -426,29 +317,21 @@ impl PlanRegistry {
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
+}
 
-    /// Lifetime poisoned-lock recoveries, registry-wide.
-    pub fn lock_recoveries(&self) -> u64 {
-        self.poison_recoveries.load(Ordering::Relaxed)
-    }
+/// Lock `m`, accepting a poisoned guard (see "Locks" in the module
+/// docs).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-    /// Chaos hook: panic while holding the shard lock that owns
-    /// `(src, dst, elem_size)`, poisoning that `Mutex` exactly as a
-    /// client panicking mid-critical-section would. Call it from a
-    /// scratch thread and join the (expected) panic; the next access to
-    /// the shard recovers via `into_inner` and is counted in
-    /// [`PlanRegistry::lock_recoveries`].
-    pub fn poison_shard_lock_for_tests(
-        &self,
-        src: &NormalizedMapping,
-        dst: &NormalizedMapping,
-        elem_size: u64,
-    ) {
-        let pair = intern::pair(src, dst);
-        let key: PlanKey = (Arc::as_ptr(&pair) as usize, elem_size);
-        let _guard = self.lock_recover(self.shard_of(key)).0;
-        panic!("injected shard-lock poison (test hook)");
-    }
+/// One 64-bit mixing step (splitmix64 finalizer), spreading
+/// allocation-aligned key pointers over the shards.
+fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -522,18 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn install_replaces_registry_wide() {
-        let reg = PlanRegistry::new(2, 64);
-        let (src, dst) = pair_for(5039);
-        let (p1, _) = reg.get_or_compile(&src, &dst, 8);
-        let replacement = Arc::new(PlannedRemap::clone(&p1));
-        reg.install(Arc::clone(&replacement));
-        let (served, o) = reg.get_or_compile(&src, &dst, 8);
-        assert!(o.hit);
-        assert!(Arc::ptr_eq(&served, &replacement) && !Arc::ptr_eq(&served, &p1));
-    }
-
-    #[test]
     fn groups_are_shared_by_member_identity() {
         let reg = PlanRegistry::new(2, 64);
         let (s1, d1) = pair_for(5051);
@@ -547,42 +418,5 @@ mod tests {
         // Member order is part of the identity.
         let (g3, o3) = reg.get_or_compile_group(vec![m2, m1]);
         assert!(!o3.hit && !Arc::ptr_eq(&g1, &g3));
-    }
-
-    #[test]
-    fn poisoned_shard_lock_recovers_and_is_counted() {
-        let reg = Arc::new(PlanRegistry::new(1, 64));
-        let (src, dst) = pair_for(5077);
-        let (p1, _) = reg.get_or_compile(&src, &dst, 8);
-        // Poison the (only) shard from a scratch thread.
-        let r2 = Arc::clone(&reg);
-        let (s2, d2) = (src.clone(), dst.clone());
-        let joined = std::thread::spawn(move || r2.poison_shard_lock_for_tests(&s2, &d2, 8)).join();
-        assert!(joined.is_err(), "the hook must panic while holding the lock");
-        // The next access is served — no unwrap panic — and reports the
-        // recovery both per-call and registry-wide.
-        let (p2, o) = reg.get_or_compile(&src, &dst, 8);
-        assert!(o.hit && Arc::ptr_eq(&p1, &p2));
-        assert_eq!(o.lock_recoveries, 1);
-        assert_eq!(reg.lock_recoveries(), 1);
-        // The poison is cleared by the first recovery, not re-counted.
-        let (_, o2) = reg.get_or_compile(&src, &dst, 8);
-        assert_eq!(o2.lock_recoveries, 0);
-    }
-
-    #[test]
-    fn contained_compile_panic_declines_without_poisoning() {
-        let reg = PlanRegistry::new(1, 64);
-        let (src, dst) = pair_for(5081);
-        let (res, out) = reg.try_get_or_compile(&src, &dst, 8, true);
-        assert_eq!(res.unwrap_err(), crate::CompileDecline::Panicked);
-        assert!(!out.hit);
-        assert_eq!(reg.misses(), 0, "a declined compile is not a miss");
-        assert_eq!(reg.len(), 0, "nothing registered");
-        // The shard lock survived the panicking compile: the clean
-        // retry compiles and registers normally with zero recoveries.
-        let (res2, out2) = reg.try_get_or_compile(&src, &dst, 8, false);
-        assert!(res2.is_ok() && !out2.hit && out2.lock_recoveries == 0);
-        assert_eq!((reg.misses(), reg.len()), (1, 1));
     }
 }

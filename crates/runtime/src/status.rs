@@ -9,9 +9,12 @@
 //! required; allocate the target lazily; if the target copy is not
 //! live, copy from the status copy (real communication, through the
 //! redistribution engine) unless the values are dead; then clean every
-//! copy outside the may-live set. [`ArrayRt::evict`] models the
-//! memory-pressure path: a live non-current copy may be dropped at any
-//! time and is regenerated (with communication) if needed again.
+//! copy outside the may-live set. A data-moving remap first runs the
+//! pre-write checks of [`crate::fault`] — the source copy exists and
+//! the cached program fits the version pair — so a typed error leaves
+//! the array and the machine as they were. [`ArrayRt::evict`] models
+//! the memory-pressure path: a live non-current copy may be dropped at
+//! any time and is regenerated (with communication) if needed again.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -19,12 +22,11 @@ use std::sync::Arc;
 use hpfc_mapping::NormalizedMapping;
 
 use crate::exec::{CopyProgram, Movers};
-use crate::fault::ExecError;
-use crate::group::GroupMember;
+use crate::fault::{check_mover, replay_checked, ExecError};
 use crate::machine::Machine;
-use crate::redist::{plan_redistribution, RedistPlan};
+use crate::redist::RedistPlan;
 use crate::schedule::CommSchedule;
-use crate::store::{TxnScratch, VersionData};
+use crate::store::VersionData;
 
 /// A memoized redistribution: the closed-form plan, its message-level
 /// caterpillar schedule, and the compiled copy program — computed once
@@ -37,7 +39,7 @@ use crate::store::{TxnScratch, VersionData};
 #[derive(Debug, Clone)]
 pub struct PlannedRemap {
     /// The communication plan (carries the interval descriptors the
-    /// program was compiled from, and recompiles from on repair).
+    /// program was compiled from).
     pub plan: RedistPlan,
     /// The plan lowered to per-pair packed messages in caterpillar
     /// rounds — what [`Machine::account_schedule`] costs.
@@ -108,55 +110,21 @@ impl ArrayRt {
     /// pipeline is compiled **once registry-wide** and registered
     /// (`registry_misses` + `plans_computed`).
     pub fn planned(&mut self, machine: &mut Machine, src: u32, dst: u32) -> Arc<PlannedRemap> {
-        self.planned_with(machine, src, dst, false)
-    }
-
-    /// [`ArrayRt::planned`] with an injectable compile panic
-    /// ([`crate::FaultKind::CompilePanic`]): the panic unwinds inside
-    /// the registry's compile-under-lock, is contained to a typed
-    /// [`crate::CompileDecline::Panicked`] (the shard lock stays
-    /// healthy), and is recovered here by a clean solo compile that is
-    /// then published registry-wide — so this method stays infallible.
-    fn planned_with(
-        &mut self,
-        machine: &mut Machine,
-        src: u32,
-        dst: u32,
-        inject_compile_panic: bool,
-    ) -> Arc<PlannedRemap> {
         if let Some(p) = self.plan_cache.get(&(src, dst)) {
             machine.stats.plan_cache_hits += 1;
             return Arc::clone(p);
         }
-        let reg = &machine.registry;
         let (src_map, dst_map) = (&self.mappings[src as usize], &self.mappings[dst as usize]);
-        let (res, out) =
-            reg.try_get_or_compile(src_map, dst_map, self.elem_size, inject_compile_panic);
+        let (planned, out) = machine.registry.get_or_compile(src_map, dst_map, self.elem_size);
         machine.stats.registry_evictions += out.evicted;
-        machine.stats.lock_poison_recoveries += out.lock_recoveries;
-        let entry = match res {
-            Ok(planned) => {
-                if out.hit {
-                    machine.stats.registry_hits += 1;
-                } else {
-                    machine.stats.registry_misses += 1;
-                    machine.stats.plans_computed += 1;
-                }
-                planned
-            }
-            Err(_decline) => {
-                // Contained compile panic: recover with a clean solo
-                // compile outside any lock and publish it.
-                machine.stats.registry_misses += 1;
-                machine.stats.plans_computed += 1;
-                let plan = plan_redistribution(src_map, dst_map, self.elem_size);
-                let planned = Arc::new(PlannedRemap::compile(plan));
-                reg.install(Arc::clone(&planned));
-                planned
-            }
-        };
-        self.plan_cache.insert((src, dst), Arc::clone(&entry));
-        entry
+        if out.hit {
+            machine.stats.registry_hits += 1;
+        } else {
+            machine.stats.registry_misses += 1;
+            machine.stats.plans_computed += 1;
+        }
+        self.plan_cache.insert((src, dst), Arc::clone(&planned));
+        planned
     }
 
     /// Seed the plan cache with a remapping planned elsewhere —
@@ -194,7 +162,6 @@ impl ArrayRt {
             machine.stats.registry_misses += 1;
         }
         machine.stats.registry_evictions += out.evicted;
-        machine.stats.lock_poison_recoveries += out.lock_recoveries;
         self.plan_cache.insert((src, dst), canonical);
     }
 
@@ -279,24 +246,12 @@ impl ArrayRt {
         }
     }
 
-    /// The full remap semantics with the recovery ladder and typed
-    /// errors. When the machine carries a [`crate::FaultPlan`] or a
-    /// validation level, the data movement runs guarded: a poisoned
-    /// cached program is detected by its fingerprint and recompiled
-    /// from the cached plan (the cache entry is repaired in place),
-    /// failed rounds are retried then escalated (recompile → typed
-    /// error), and worker panics degrade the round to serial. With
-    /// neither configured this is exactly the unguarded
-    /// allocation-free path.
-    ///
-    /// **Transactional**: the remap is a one-member remap group
-    /// ([`crate::try_remap_group`]'s transaction) — on the guarded path
-    /// a rollback record is captured before the replay writes anything,
-    /// and any terminal error restores the destination version —
-    /// status, live flags, allocation, and bytes — to its exact
-    /// pre-remap state (`NetStats::rollbacks`). The unguarded fast
-    /// path needs no snapshot: with no faults injected and no
-    /// validation demanded, its replay cannot fail after writes begin.
+    /// The full remap semantics with typed errors: the pre-write checks
+    /// (`ArrayRt::check_remap`), the remap, then the liveness cleaning.
+    /// An error from the checks leaves the array and the machine
+    /// untouched. Under `HPFC_VALIDATE=checksums` a checksum
+    /// mismatch after the replay is returned at once — a compiler bug,
+    /// neither retried nor rolled back.
     pub fn try_remap_guarded(
         &mut self,
         machine: &mut Machine,
@@ -305,27 +260,76 @@ impl ArrayRt {
         values_dead: bool,
         skip_if_current: &BTreeSet<u32>,
     ) -> Result<(), ExecError> {
-        // A solo remap copies from its current status, if any.
-        let src = self.status.unwrap_or(target);
-        let mut solo = [GroupMember { rt: self, src, target, may_live, skip_if_current }];
-        crate::group::transact(machine, &mut solo, |machine, solo, snaps| {
-            let (m, snap) = (&mut solo[0], snaps.map(|s| &mut s[0]));
-            m.rt.remap_body(machine, m.target, values_dead, m.skip_if_current, snap)
-        })
+        self.check_remap(machine, target, values_dead, skip_if_current)?;
+        self.apply_remap(machine, target, values_dead, skip_if_current)?;
+        self.clean_copies(machine, target, may_live);
+        Ok(())
     }
 
-    /// Fig. 20 for this array inside a remap transaction — everything
-    /// but the liveness cleaning, which waits for the transaction to
-    /// commit. `snap` is the array's rollback record on the guarded
-    /// path; a data-moving remap adds the destination bytes to it
-    /// before replaying.
-    pub(crate) fn remap_body(
+    /// The version a remap to `target` copies from, or `None` when it
+    /// moves no data: a status no-op or partial-impact skip, a live-copy
+    /// reuse, dead values, or a first instantiation.
+    fn move_source(
+        &self,
+        target: u32,
+        values_dead: bool,
+        skip_if_current: &BTreeSet<u32>,
+    ) -> Option<u32> {
+        let src = self.status?;
+        let moves = src != target
+            && !skip_if_current.contains(&src)
+            && !self.live[target as usize]
+            && !values_dead;
+        moves.then_some(src)
+    }
+
+    /// The pre-write checks of a remap to `target`: if it moves data,
+    /// its cached program must pass [`ArrayRt::check_move`]. The plan
+    /// lookup leaves the program in [`ArrayRt::plan_cache`] for
+    /// [`ArrayRt::apply_remap`].
+    pub(crate) fn check_remap(
         &mut self,
         machine: &mut Machine,
         target: u32,
         values_dead: bool,
         skip_if_current: &BTreeSet<u32>,
-        snap: Option<&mut TxnScratch>,
+    ) -> Result<(), ExecError> {
+        let Some(src) = self.move_source(target, values_dead, skip_if_current) else {
+            return Ok(());
+        };
+        let planned = self.planned(machine, src, target);
+        self.check_move(&planned.program, src, target)
+    }
+
+    /// The pre-write checks of replaying `program` from version `src`
+    /// into version `target`: the source copy must be allocated and the
+    /// program must fit the version pair ([`check_mover`]), the target
+    /// checked through its mapping if it is not allocated yet. Nothing
+    /// is allocated, billed or written.
+    pub(crate) fn check_move(
+        &self,
+        program: &CopyProgram,
+        src: u32,
+        target: u32,
+    ) -> Result<(), ExecError> {
+        let Some(src_data) = self.copies[src as usize].as_ref() else {
+            return Err(ExecError::MissingCopy { array: self.name.clone(), version: src });
+        };
+        let dst = self.copies[target as usize].as_ref();
+        let dst_map = dst.map_or(&self.mappings[target as usize], |d| &d.mapping);
+        check_mover(program, src_data, dst_map, dst)
+    }
+
+    /// Fig. 20 for this array after [`ArrayRt::check_remap`] passed —
+    /// everything but the liveness cleaning, which a remap group runs
+    /// only once every member has succeeded. The only error left is a
+    /// checksum mismatch after the replay.
+    pub(crate) fn apply_remap(
+        &mut self,
+        machine: &mut Machine,
+        target: u32,
+        values_dead: bool,
+        skip_if_current: &BTreeSet<u32>,
     ) -> Result<(), ExecError> {
         // Partial-impact skip, or "the runtime will notice that the
         // array is already mapped as required just by an inexpensive
@@ -341,7 +345,7 @@ impl ArrayRt {
             machine.stats.remaps_reused_live += 1;
         } else {
             match (self.status, values_dead) {
-                (Some(src), false) => self.move_values(machine, src, target, snap)?,
+                (Some(src), false) => self.move_values(machine, src, target)?,
                 (Some(_), true) => {
                     // KILL: copy allocated, values dead — no data.
                     machine.stats.remaps_dead_values += 1;
@@ -356,77 +360,31 @@ impl ArrayRt {
         Ok(())
     }
 
-    /// The actual remapping communication: the cached compiled program
-    /// replays `src` into `target` as one mover through the recovery
-    /// driver, its caterpillar schedule drives the time accounting.
+    /// The actual remapping communication: the program that
+    /// [`ArrayRt::check_remap`] cached and checked replays `src` into
+    /// `target` as one mover; its caterpillar schedule drives the time
+    /// accounting.
     fn move_values(
         &mut self,
         machine: &mut Machine,
         src: u32,
         target: u32,
-        snap: Option<&mut TxnScratch>,
     ) -> Result<(), ExecError> {
-        let epoch = machine.next_fault_epoch();
-        if machine.faults.is_some_and(|f| f.poison_fires(epoch)) {
-            // PoisonProgram: corrupt the cached entry's compiled program
-            // before it is served. The corrupt artifact is installed
-            // into the shared registry too — exactly what a damaged
-            // plan registry would hand out to every session.
-            if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
-                let mut bad = PlannedRemap::clone(entry);
-                crate::fault::poison_program(&mut bad.program);
-                machine.stats.faults_injected += 1;
-                let bad = Arc::new(bad);
-                machine.registry.install(Arc::clone(&bad));
-                *entry = bad;
-            }
-        }
-        let inject_compile_panic = machine.faults.is_some_and(|f| f.compile_panic_fires(epoch))
-            && !self.plan_cache.contains_key(&(src, target));
-        if inject_compile_panic {
-            machine.stats.faults_injected += 1;
-        }
-        let planned = self.planned_with(machine, src, target, inject_compile_panic);
+        let planned = &self.plan_cache[&(src, target)];
         machine.account_schedule(&planned.schedule);
         machine.stats.remaps_performed += 1;
-        let (src_data, dst_data) = version_pair(&mut self.copies, src, target)
-            .ok_or_else(|| ExecError::MissingCopy { array: self.name.clone(), version: src })?;
-        if let Some(snap) = snap {
-            snap.capture_bytes(src_data, dst_data, &planned.program);
-        }
-        let mut tally = [(0, 0)];
-        let repaired = crate::fault::replay_with_recovery(
-            machine,
-            std::slice::from_ref(&planned.program),
-            || CopyProgram::try_compile(&planned.plan, &planned.schedule).map(|p| vec![p]),
-            &mut Movers::Pair(src_data, dst_data),
-            epoch,
-            &mut tally,
-        )?;
-        machine.stats.runs_copied += tally[0].0;
-        machine.stats.bytes_moved += tally[0].1 * self.elem_size;
-        if let Some(fresh) = repaired.and_then(|mut p| p.pop()) {
-            // Cache repair, once registry-wide: the recompiled program
-            // replaces the poisoned/stale one locally *and* in the
-            // shared registry, so the next bounce is healthy again and
-            // no later session is ever served the corrupt artifact.
-            if let Some(entry) = self.plan_cache.get_mut(&(src, target)) {
-                let mut healthy = PlannedRemap::clone(entry);
-                healthy.program = fresh;
-                let healthy = Arc::new(healthy);
-                machine.registry.install(Arc::clone(&healthy));
-                *entry = healthy;
-            }
-        }
+        let (src_data, dst_data) = version_pair(&mut self.copies, src, target);
+        let program = std::slice::from_ref(&planned.program);
+        replay_checked(machine, program, &mut Movers::Pair(src_data, dst_data))?;
+        machine.stats.runs_copied += planned.program.n_runs();
+        machine.stats.bytes_moved += planned.program.n_elements() * self.elem_size;
         Ok(())
     }
 
     /// Cleaning (Fig. 20's tail): free copies that are live but not
     /// worth keeping. The status copy is never cleaned — on
     /// pass-through executions of a partial-impact vertex it differs
-    /// from `target` and is still the current data. A remap transaction
-    /// runs this only after every member committed: cleaning frees
-    /// copies a rollback could not restore.
+    /// from `target` and is still the current data.
     pub(crate) fn clean_copies(
         &mut self,
         machine: &mut Machine,
@@ -442,34 +400,6 @@ impl ArrayRt {
                 self.free_copy(machine, v);
             }
         }
-    }
-
-    /// The array half of a transactional rollback: paired with the
-    /// byte restore in [`crate::store::TxnScratch`], it puts the array
-    /// back to the captured pre-remap state — bytes (or the freed
-    /// fresh allocation), live flags, and status. Idempotent via the
-    /// `captured` flag; a no-op if nothing was captured.
-    pub(crate) fn rollback_remap(
-        &mut self,
-        machine: &mut Machine,
-        target: u32,
-        snap: &mut TxnScratch,
-    ) {
-        if !snap.captured {
-            return;
-        }
-        if snap.target_preallocated {
-            if let Some(dst) = self.copies[target as usize].as_mut() {
-                snap.restore_bytes(dst);
-            }
-        } else {
-            // The target copy did not exist before the remap: undo the
-            // allocation (and its memory accounting) entirely.
-            self.free_copy(machine, target);
-        }
-        self.live.copy_from_slice(&snap.live);
-        self.status = snap.status;
-        snap.captured = false;
     }
 
     /// Fig. 18's restore, executed: remap back to the `saved` status
@@ -562,28 +492,31 @@ impl ArrayRt {
 }
 
 /// An array's `src` and `dst` version storage, borrowed together from
-/// its copies table (`None` when the source copy is not allocated). The
-/// versions are distinct: a remap between equal versions is a status
-/// no-op and never reaches a replay.
+/// its copies table. Both are allocated — the pre-write checks found
+/// the source, and the target is allocated after them — and distinct: a
+/// remap between equal versions is a status no-op and never replays.
 pub(crate) fn version_pair(
     copies: &mut [Option<VersionData>],
     src: u32,
     dst: u32,
-) -> Option<(&VersionData, &mut VersionData)> {
+) -> (&VersionData, &mut VersionData) {
     let (s, d) = (src as usize, dst as usize);
     assert_ne!(s, d, "a replay moves between distinct versions");
-    if s < d {
+    let (src, dst) = if s < d {
         let (lo, hi) = copies.split_at_mut(d);
-        Some((lo[s].as_ref()?, hi[0].as_mut().expect("target copy is allocated")))
+        (&lo[s], &mut hi[0])
     } else {
         let (lo, hi) = copies.split_at_mut(s);
-        Some((hi[0].as_ref()?, lo[d].as_mut().expect("target copy is allocated")))
-    }
+        (&hi[0], &mut lo[d])
+    };
+    let src = src.as_ref().expect("source copy is allocated");
+    (src, dst.as_mut().expect("target copy is allocated"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::redist::plan_redistribution;
     use hpfc_mapping::{
         Alignment, DimFormat, Distribution, Extents, GridId, Mapping, ProcGrid, Template,
         TemplateId,

@@ -262,155 +262,6 @@ impl VersionData {
     }
 }
 
-/// The rollback record of one transactional remap: everything needed to
-/// put the destination version back to its byte-identical pre-remap
-/// state when the recovery ladder is exhausted mid-write.
-///
-/// A replay only ever writes inside the compiled program's destination
-/// runs (the cached program, a recompiled one, a poisoned one whose
-/// `src_pos`es were zeroed, and the corruption scribble all target the
-/// same destination positions), so the snapshot is bounded by the
-/// bytes the remap would move, not the array size. When the program
-/// was compiled for another version pair, the full destination blocks
-/// are saved instead.
-///
-/// Lives in a per-[`crate::Machine`] scratch arena
-/// (`std::mem::take`/put-back around the replay): the vectors keep
-/// their capacity across remaps, so the armed snapshot allocates
-/// nothing in steady state on the compiled path.
-#[derive(Debug, Clone, Default)]
-pub struct TxnScratch {
-    /// The array's status before the remap.
-    pub(crate) status: Option<u32>,
-    /// The live flags before the remap.
-    pub(crate) live: Vec<bool>,
-    /// Whether the target copy existed before the remap — if not,
-    /// rollback frees it instead of restoring bytes.
-    pub(crate) target_preallocated: bool,
-    /// Strided capture entries: `(receiver rank, dst_base, count,
-    /// dst_step, len)` — one entry covers `count` destination runs of
-    /// `len` words each, `dst_step` apart (a stride family's write
-    /// set); a residual triple is the degenerate `count = 1, step = 0`
-    /// case. One entry per family keeps the capture metadata O(pairs)
-    /// like the artifact itself.
-    ranges: Vec<(u64, u64, u64, u64, u64)>,
-    /// The saved words, concatenated in `ranges` expansion order.
-    words: Vec<f64>,
-    /// Full-block fallback: `(rank, data)` clones of every destination
-    /// block (used when no compiled program bounds the write set).
-    full: Vec<(usize, Vec<f64>)>,
-    /// Whether this scratch currently holds a capture; cleared by
-    /// rollback and by the commit path.
-    pub(crate) captured: bool,
-}
-
-impl TxnScratch {
-    /// Record the rollback point's array state, before anything
-    /// executes: `status`, `live`, and whether the target copy
-    /// pre-existed (if not, rollback frees it instead of restoring
-    /// bytes).
-    pub(crate) fn begin(&mut self, status: Option<u32>, live: &[bool], target_preallocated: bool) {
-        self.status = status;
-        self.live.clear();
-        self.live.extend_from_slice(live);
-        self.target_preallocated = target_preallocated;
-        self.ranges.clear();
-        self.words.clear();
-        self.full.clear();
-        self.captured = true;
-    }
-
-    /// Add the destination bytes a replay of `program` from `src` into
-    /// `dst` may overwrite — called by each mover right before it
-    /// replays. A program compiled for exactly this `(src, dst)` pair
-    /// bounds the snapshot to its destination runs; otherwise the full
-    /// destination blocks are cloned. A fresh target needs no bytes.
-    pub(crate) fn capture_bytes(
-        &mut self,
-        src: &VersionData,
-        dst: &VersionData,
-        program: &crate::CopyProgram,
-    ) {
-        if !self.target_preallocated {
-            return; // rollback frees the fresh copy; no bytes to save
-        }
-        if program.compiled_for(src, dst) && self.capture_runs(program, dst) {
-            return;
-        }
-        self.ranges.clear();
-        self.words.clear();
-        for (r, b) in dst.blocks.iter().enumerate() {
-            if let Some(b) = b {
-                self.full.push((r, b.data.clone()));
-            }
-        }
-    }
-
-    /// Save the words under every destination run of `p` — stride
-    /// families and residual triples alike. Returns `false` (caller
-    /// falls back to full blocks) if a referenced block is unallocated
-    /// or a run is out of bounds — states the guarded replay rejects
-    /// with a typed error before writing, but the snapshot must never
-    /// panic on them.
-    fn capture_runs(&mut self, p: &crate::CopyProgram, dst: &VersionData) -> bool {
-        for unit in p.local.iter().chain(p.rounds.iter().flatten()) {
-            let Some(block) = dst.blocks[unit.receiver as usize].as_ref() else {
-                return false;
-            };
-            for f in &p.fams[unit.fams.0..unit.fams.1] {
-                let mut at = f.dst_base as usize;
-                let (step, len) = (f.dst_step as usize, f.len as usize);
-                let words_start = self.words.len();
-                for _ in 0..f.count {
-                    let Some(words) = block.data.get(at..at + len) else {
-                        self.words.truncate(words_start);
-                        return false;
-                    };
-                    self.words.extend_from_slice(words);
-                    at += step;
-                }
-                self.ranges.push((unit.receiver, f.dst_base, f.count, f.dst_step, f.len));
-            }
-            for run in &p.runs[unit.runs.0..unit.runs.1] {
-                let (at, len) = (run.dst_pos as usize, run.len as usize);
-                let Some(words) = block.data.get(at..at + len) else {
-                    return false;
-                };
-                self.ranges.push((unit.receiver, run.dst_pos, 1, 0, run.len));
-                self.words.extend_from_slice(words);
-            }
-        }
-        true
-    }
-
-    /// Write the saved destination bytes back (strided capture entries
-    /// or full blocks, whichever was captured), expanding each entry in
-    /// the order it was captured. Array-level state (`status`, `live`,
-    /// freeing a fresh copy) is the caller's half of the rollback — see
-    /// `ArrayRt::rollback_remap`.
-    pub(crate) fn restore_bytes(&self, dst: &mut VersionData) {
-        for (rank, data) in &self.full {
-            if let Some(b) = dst.blocks[*rank].as_mut() {
-                b.data.copy_from_slice(data);
-            }
-        }
-        let mut off = 0usize;
-        for &(rank, base, count, step, len) in &self.ranges {
-            let (step, len) = (step as usize, len as usize);
-            let mut at = base as usize;
-            if let Some(b) = dst.blocks[rank as usize].as_mut() {
-                for _ in 0..count {
-                    b.data[at..at + len].copy_from_slice(&self.words[off..off + len]);
-                    at += step;
-                    off += len;
-                }
-            } else {
-                off += count as usize * len;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -78,16 +78,12 @@ fn allocations() -> u64 {
 #[test]
 fn steady_state_remap_allocates_nothing() {
     COUNTED.with(|c| c.set(true));
-    // The zero-allocation contract below holds for the DISABLED
-    // fault/validation configuration — the default. With a FaultPlan or
-    // a validation level configured, remaps take the guarded recovery
-    // path instead, which may allocate (checksum walks, recompiles,
-    // table fallbacks) by design. Pin the precondition so a future
-    // default change trips loudly here rather than silently weakening
-    // the measured windows.
+    // Sections 1–5 measure the default configuration, validation off;
+    // sections 6–7 measure the checksum pass. Pin the default so a
+    // future change trips loudly here rather than silently moving what
+    // the first windows measure.
     {
         let m = Machine::new(4);
-        assert!(m.faults.is_none(), "fault injection must default off");
         assert_eq!(
             m.validation,
             hpfc_runtime::ValidationLevel::Off,
@@ -325,25 +321,21 @@ fn steady_state_remap_allocates_nothing() {
         assert_eq!(rt.get(&[i]), solo.get(&[i]), "registry and solo paths diverge at {i}");
     }
 
-    // --- 6. The transactional happy path is allocation-free too. ------
-    // With a validation level configured the remap runs guarded and
-    // ARMED: a rollback record (status, live flags, the destination
-    // runs the compiled program will write) is captured into the
-    // machine's scratch arena before the replay and dropped on commit.
-    // Warm-up grows the scratch once per direction; after that every
-    // snapshot + commit cycle reuses its capacity — zero allocations
-    // per cached bounce, and the happy path never rolls back.
+    // --- 6. The checksummed remap is allocation-free too. -------------
+    // With validation on, every remap runs the pre-write checks, the
+    // one replay, and one checksum pass over every unit it replayed —
+    // all walks over existing storage: zero allocations per cached
+    // bounce.
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(Some(3)));
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
         .with_registry(std::sync::Arc::new(PlanRegistry::new(1, 64)))
-        .with_validation(hpfc_runtime::ValidationLevel::Counts);
+        .with_validation(hpfc_runtime::ValidationLevel::Checksums);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    // Warm up: both copies allocated, both directions' programs cached,
-    // the snapshot scratch grown to both directions' run counts.
+    // Warm up: both copies allocated, both directions' programs cached.
     for _ in 0..2 {
         rt.remap(&mut machine, 1, &keep, false);
         rt.set(&[0], 1.0);
@@ -355,28 +347,27 @@ fn steady_state_remap_allocates_nothing() {
         rt.set(&[0], i as f64); // outside the measured window
         let before = allocations();
         rt.remap(&mut machine, 1, &keep, false);
-        assert_eq!(allocations(), before, "transactional remap {i} ->1 allocated");
+        assert_eq!(allocations(), before, "checksummed remap {i} ->1 allocated");
         rt.set(&[1], i as f64);
         let before = allocations();
         rt.remap(&mut machine, 0, &keep, false);
-        assert_eq!(allocations(), before, "transactional remap {i} ->0 allocated");
+        assert_eq!(allocations(), before, "checksummed remap {i} ->0 allocated");
     }
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
-    assert_eq!(machine.stats.rollbacks, 0, "the happy path never rolls back");
     assert_eq!(machine.stats.plans_computed, 2);
 
     // --- 7. Strided-kernel replay is allocation-free too. -------------
     // cyclic(1) destinations compile to pure Gather stride families
     // (zero residual triples): the cached bounce exercises the family
-    // walk in the replay, the per-unit run accounting, and — armed by
-    // the validation level — the strided TxnScratch capture. All of it
-    // must reuse warm capacity, exactly like the triple path above.
+    // walk in the replay, the run accounting, and the family walk of the
+    // checksum pass. None of it may allocate, exactly like the triple
+    // path above.
     let src = mk(n, 4, DimFormat::Block(None));
     let dst = mk(n, 4, DimFormat::Cyclic(None));
     let mut machine = Machine::new(4)
         .with_exec_mode(ExecMode::Serial)
         .with_registry(std::sync::Arc::new(PlanRegistry::new(1, 64)))
-        .with_validation(hpfc_runtime::ValidationLevel::Counts);
+        .with_validation(hpfc_runtime::ValidationLevel::Checksums);
     let mut rt = ArrayRt::new("a", vec![src, dst], 8);
     rt.current(&mut machine, 0).fill(|p| p[0] as f64);
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
@@ -414,6 +405,5 @@ fn steady_state_remap_allocates_nothing() {
         assert_eq!(allocations(), before, "strided-kernel remap {i} ->0 allocated");
     }
     assert_eq!(machine.stats.remaps_performed, performed + 20, "every bounce moved data");
-    assert_eq!(machine.stats.rollbacks, 0, "the happy path never rolls back");
     assert_eq!(machine.stats.plans_computed, 2, "planned once per direction");
 }

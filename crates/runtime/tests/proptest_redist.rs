@@ -1,15 +1,22 @@
 //! E23 — property tests for the redistribution engine: the closed-form
 //! communication sets must agree with brute-force enumeration for any
 //! pair of well-formed mappings, and data movement must preserve array
-//! contents exactly.
+//! contents exactly. The last section pins the failure model: typed
+//! errors from the pre-write checks leave every array and the machine
+//! untouched, and the optional checksum changes nothing but what is
+//! verified.
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use hpfc_mapping::{
     AlignTarget, Alignment, DimFormat, Distribution, Extents, GridId, Mapping, NormalizedMapping,
     ProcGrid, Template, TemplateId,
 };
 use hpfc_runtime::{
-    plan_by_enumeration, plan_redistribution, CommSchedule, CopyProgram, ExecMode, Machine,
-    MsgDim, VersionData,
+    plan_by_enumeration, plan_redistribution, remap_group, try_remap_group, ArrayRt, CommSchedule,
+    CopyProgram, CopyUnit, ExecError, ExecMode, GroupMember, Machine, MsgDim, PlanRegistry,
+    PlannedGroup, PlannedRemap, ValidationLevel, VersionData,
 };
 use proptest::prelude::*;
 
@@ -462,13 +469,11 @@ fn scalar_at(c: i64, p: u64) -> NormalizedMapping {
 
 /// Rank-0 scalars move through the one copy engine: the cached plan
 /// carries a compiled program (one single-element memcpy unit), and a
-/// remap replays it on the unguarded fast path (`Off`) and through the
-/// guarded ladder (`Counts`, `Checksums`) alike, with the exact
-/// planned volume and no recovery activity.
+/// remap replays it with validation off and under checksums alike, with
+/// the exact planned volume.
 #[test]
 fn rank0_scalar_remap_moves_through_the_compiled_program() {
-    use hpfc_runtime::{ArrayRt, Kernel, PlanRegistry, ValidationLevel};
-    use std::collections::BTreeSet;
+    use hpfc_runtime::Kernel;
 
     // Block(2) on a template of 8 cells puts cell 0 on proc 0 and cell
     // 7 on proc 3: the scalar really travels.
@@ -482,11 +487,10 @@ fn rank0_scalar_remap_moves_through_the_compiled_program() {
     assert_eq!(program.n_elements(), 1);
 
     let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
-    for validation in [ValidationLevel::Off, ValidationLevel::Counts, ValidationLevel::Checksums]
-    {
+    for validation in [ValidationLevel::Off, ValidationLevel::Checksums] {
         let mut machine = Machine::new(4)
             .with_exec_mode(ExecMode::Serial)
-            .with_registry(std::sync::Arc::new(PlanRegistry::new(1, 64)))
+            .with_registry(Arc::new(PlanRegistry::new(1, 64)))
             .with_validation(validation);
         let mut rt = ArrayRt::new("s", vec![on0.clone(), on3.clone()], 8);
         rt.current(&mut machine, 0).fill(|_| 42.0);
@@ -499,6 +503,233 @@ fn rank0_scalar_remap_moves_through_the_compiled_program() {
         assert_eq!(s.remaps_performed, 2);
         assert_eq!((s.bytes_moved, s.runs_copied), (16, 2), "one element per hop ({validation:?})");
         assert_eq!((s.messages, s.bytes), (2, 16), "one 8-byte message per hop");
-        assert_eq!((s.faults_injected, s.rounds_retried, s.programs_recompiled), (0, 0, 0));
+    }
+}
+
+// --- The failure model ------------------------------------------------
+
+fn mk1d(n: u64, p: u64, fmt: DimFormat) -> NormalizedMapping {
+    hpfc_mapping::testing::mapping_1d(n, p, fmt)
+}
+
+/// A registry no other machine shares: a machine given one plans solo,
+/// so nothing another test registered can serve (or count against) it.
+fn private_registry() -> Arc<PlanRegistry> {
+    Arc::new(PlanRegistry::new(1, 64))
+}
+
+fn planned(src: &NormalizedMapping, dst: &NormalizedMapping) -> Arc<PlannedRemap> {
+    Arc::new(PlannedRemap::compile(plan_redistribution(src, dst, 8)))
+}
+
+/// A fresh array bouncing between BLOCK and CYCLIC(3) over `p` procs,
+/// with both plan-cache directions pre-seeded.
+fn seeded_array(name: &str, n: u64, p: u64) -> ArrayRt {
+    let src = mk1d(n, p, DimFormat::Block(None));
+    let dst = mk1d(n, p, DimFormat::Cyclic(Some(3)));
+    let mut rt = ArrayRt::new(name, vec![src.clone(), dst.clone()], 8);
+    rt.seed_plan(0, 1, planned(&src, &dst));
+    rt.seed_plan(1, 0, planned(&dst, &src));
+    rt
+}
+
+/// What a failed remap must leave as it was: the simulated memory and
+/// the traffic counters.
+fn machine_state(m: &Machine) -> (Vec<u64>, Vec<u64>, u64, u64, u64) {
+    let s = m.stats;
+    (m.mem.current.clone(), m.mem.peak.clone(), s.messages, s.bytes, s.remaps_performed)
+}
+
+/// Unrecoverable situations are typed errors at the API boundary, not
+/// panics, and they are raised before anything is allocated, billed or
+/// written: a remap whose source copy is gone reports `MissingCopy` and
+/// leaves its target unallocated; a coalesced group with such a member
+/// reports it before any member executes; a group whose member list
+/// disagrees with its plan reports `GroupMismatch`. No snapshot is
+/// needed to keep the state: nothing was written.
+#[test]
+fn unrecoverable_paths_return_typed_errors() {
+    let n = 256u64;
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let mut machine =
+        Machine::new(4).with_registry(private_registry()).with_exec_mode(ExecMode::Serial);
+    let mut rt = seeded_array("a", n, 4);
+    rt.current(&mut machine, 0).fill(|p| p[0] as f64);
+    // Sabotage: drop the source copy behind the status tag.
+    rt.free_copy(&mut machine, 0);
+    let before = machine_state(&machine);
+    let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+    assert_eq!(err, ExecError::MissingCopy { array: "a".into(), version: 0 });
+    assert!(err.to_string().contains("version 0"));
+    assert!(rt.copies[1].is_none(), "the target copy was never allocated");
+    assert_eq!(machine_state(&machine), before, "nothing allocated or billed");
+
+    // A coalesced two-member group whose second member lost its source
+    // copy: the first member must not execute either.
+    let src = mk1d(n, 4, DimFormat::Block(None));
+    let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
+    let solo = planned(&src, &dst);
+    let group = PlannedGroup::compile(vec![Arc::clone(&solo), Arc::clone(&solo)]);
+    let skip = BTreeSet::new();
+    let mut a = seeded_array("a", n, 4);
+    let mut b = seeded_array("b", n, 4);
+    a.current(&mut machine, 0).fill(|p| p[0] as f64);
+    b.current(&mut machine, 0).fill(|p| 2.0 * p[0] as f64);
+    b.free_copy(&mut machine, 0);
+    let (status, live, copies) = (a.status, a.live.clone(), a.copies.clone());
+    let before = machine_state(&machine);
+    let err = {
+        let mut members = [
+            GroupMember { rt: &mut a, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+            GroupMember { rt: &mut b, src: 0, target: 1, may_live: &keep, skip_if_current: &skip },
+        ];
+        try_remap_group(&mut machine, &mut members, &group).unwrap_err()
+    };
+    assert_eq!(err, ExecError::MissingCopy { array: "b".into(), version: 0 });
+    assert_eq!((a.status, &a.live), (status, &live), "first member's status and live flags");
+    assert!(a.copies == copies, "first member's copies untouched");
+    assert_eq!(machine_state(&machine), before, "nothing allocated or billed");
+
+    // A group directive whose runtime member list is shorter than the
+    // planned group.
+    let mut a = ArrayRt::new("a", vec![src, dst], 8);
+    a.current(&mut machine, 0).fill(|p| p[0] as f64);
+    let mut members = [GroupMember {
+        rt: &mut a,
+        src: 0,
+        target: 1,
+        may_live: &keep,
+        skip_if_current: &skip,
+    }];
+    let err = try_remap_group(&mut machine, &mut members, &group).unwrap_err();
+    assert_eq!(err, ExecError::GroupMismatch { planned: 2, got: 1 });
+}
+
+/// A cached program that does not fit the version pair is a typed error
+/// before any write, not a recompile: one compiled for another mapping
+/// pair is a `ProgramMismatch`, one over versions of another shape a
+/// `ShapeMismatch`.
+#[test]
+fn a_program_for_another_pair_is_rejected_before_any_write() {
+    let n = 256u64;
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let block = mk1d(n, 4, DimFormat::Block(None));
+    let cyclic3 = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
+    let cases = [
+        (cyclic3.clone(), planned(&block, &mk1d(n, 4, DimFormat::Cyclic(Some(5))))),
+        (mk1d(2 * n, 4, DimFormat::Cyclic(Some(3))), planned(&block, &cyclic3)),
+    ];
+    for (target, foreign) in cases {
+        let mut machine = Machine::new(4).with_registry(private_registry());
+        let mut rt = ArrayRt::new("a", vec![block.clone(), target], 8);
+        rt.seed_plan(0, 1, foreign);
+        rt.current(&mut machine, 0).fill(|p| p[0] as f64);
+        let before = machine_state(&machine);
+        let err = rt.try_remap(&mut machine, 1, &keep, false).unwrap_err();
+        assert!(
+            matches!(err, ExecError::ProgramMismatch { .. } | ExecError::ShapeMismatch { .. }),
+            "{err}"
+        );
+        assert!(rt.copies[1].is_none() && rt.status == Some(0), "nothing executed");
+        assert_eq!(machine_state(&machine), before, "nothing allocated or billed");
+    }
+}
+
+/// The checksum is what `HPFC_VALIDATE=checksums` buys: a program whose
+/// units overwrite each other (a compiler bug, built here by pointing a
+/// remote unit at the local unit's runs) replays without complaint when
+/// validation is off, and is a typed `ProgramMismatch` after its one
+/// replay under checksums — never retried.
+#[test]
+fn an_overlapping_program_fails_the_checksum_once() {
+    let n = 256u64;
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let (src, dst) = (mk1d(n, 4, DimFormat::Block(None)), mk1d(n, 4, DimFormat::Cyclic(Some(3))));
+    let mut bad = PlannedRemap::clone(&planned(&src, &dst));
+    let local = bad.program.local[0];
+    let remote = bad.program.rounds.iter_mut().flatten().find(|u| u.receiver == local.receiver);
+    let remote = remote.expect("receiver 0 also hears from another rank");
+    (remote.fams, remote.runs, remote.kernel) = (local.fams, local.runs, local.kernel);
+    let bad = Arc::new(bad);
+    for validation in [ValidationLevel::Off, ValidationLevel::Checksums] {
+        let mut machine = Machine::new(4)
+            .with_registry(private_registry())
+            .with_validation(validation);
+        let mut rt = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+        rt.seed_plan(0, 1, Arc::clone(&bad));
+        rt.current(&mut machine, 0).fill(|p| p[0] as f64 + 1.0);
+        let out = rt.try_remap(&mut machine, 1, &keep, false);
+        match validation {
+            ValidationLevel::Off => assert!(out.is_ok(), "unverified replays are trusted"),
+            ValidationLevel::Checksums => {
+                let err = out.unwrap_err();
+                assert!(matches!(err, ExecError::ProgramMismatch { .. }), "{err}");
+                assert!(err.to_string().contains("checksum"), "{err}");
+                assert_eq!(machine.stats.remaps_performed, 1, "one replay, no retry");
+            }
+        }
+    }
+}
+
+/// Validation only verifies: with checksums on, every remap moves the
+/// same bytes and bills the same traffic as with validation off, serial
+/// or threaded, for a solo remap and a coalesced two-member group alike.
+#[test]
+fn guarded_and_unguarded_replays_agree_solo_and_group() {
+    let n = 1u64 << 18;
+    let src = mk1d(n, 4, DimFormat::Block(None));
+    let dst = mk1d(n, 4, DimFormat::Cyclic(Some(3)));
+    let (fwd, back) = (planned(&src, &dst), planned(&dst, &src));
+    // Premise: a solo round, and so a merged group round, is at least
+    // the 32,768-element inline threshold, so Parallel(4) spawns workers.
+    let round_elements = |r: &Vec<_>| r.iter().map(|u: &CopyUnit| u.elements).sum::<u64>();
+    assert!(fwd.program.rounds.iter().any(|r| round_elements(r) >= 1 << 15));
+    let fwd_group = PlannedGroup::compile(vec![Arc::clone(&fwd), Arc::clone(&fwd)]);
+    let back_group = PlannedGroup::compile(vec![Arc::clone(&back), Arc::clone(&back)]);
+    let keep: BTreeSet<u32> = [0u32, 1].into_iter().collect();
+    let skip = BTreeSet::new();
+    let run = |validation: ValidationLevel, mode: ExecMode, grouped: bool| {
+        let mut machine = Machine::new(4)
+            .with_registry(private_registry())
+            .with_exec_mode(mode)
+            .with_validation(validation);
+        let mut a = ArrayRt::new("a", vec![src.clone(), dst.clone()], 8);
+        let mut b = ArrayRt::new("b", vec![src.clone(), dst.clone()], 8);
+        for rt in [&mut a, &mut b] {
+            rt.seed_plan(0, 1, Arc::clone(&fwd));
+            rt.seed_plan(1, 0, Arc::clone(&back));
+        }
+        a.current(&mut machine, 0).fill(|p| p[0] as f64 + 0.5);
+        b.current(&mut machine, 0).fill(|p| 3.0 * p[0] as f64);
+        for (bounce, (s, t)) in [(0u32, 1u32), (1, 0), (0, 1)].into_iter().enumerate() {
+            if grouped {
+                let planned = if s == 0 { &fwd_group } else { &back_group };
+                let mut members = [
+                    GroupMember { rt: &mut a, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                    GroupMember { rt: &mut b, src: s, target: t, may_live: &keep, skip_if_current: &skip },
+                ];
+                assert_eq!(remap_group(&mut machine, &mut members, planned), 2, "coalesced");
+            } else {
+                a.remap(&mut machine, t, &keep, false);
+            }
+            a.set(&[bounce as u64], -1.0 - bounce as f64);
+            b.set(&[bounce as u64 + 7], -2.0 - bounce as f64);
+        }
+        let s = machine.stats;
+        let counters =
+            (s.bytes_moved, s.runs_copied, s.remaps_performed, s.messages, s.bytes, s.time_us);
+        (a.copies, b.copies, counters)
+    };
+    for grouped in [false, true] {
+        let reference = run(ValidationLevel::Off, ExecMode::Serial, grouped);
+        assert!(reference.2 .2 > 0, "the bounces moved data");
+        for validation in [ValidationLevel::Off, ValidationLevel::Checksums] {
+            for mode in [ExecMode::Serial, ExecMode::Parallel(4)] {
+                assert!(
+                    run(validation, mode, grouped) == reference,
+                    "{validation:?} {mode:?} grouped={grouped}: differs from unvalidated serial"
+                );
+            }
+        }
     }
 }

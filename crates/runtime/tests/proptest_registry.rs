@@ -164,33 +164,3 @@ fn eviction_counters_are_exact_under_a_tiny_cap() {
     assert_eq!(registry.len(), 2, "the cap bounds residency");
     assert_eq!(registry.evictions(), total.registry_evictions);
 }
-
-/// Lock-poison recovery at the session layer: a thread panics while
-/// holding a shard lock (poisoning it); the next session over that
-/// shard is still served — both directions compile and register
-/// normally — with the recovery counted, never `unwrap`-panicked. The
-/// recovery also heals the lock for good (`clear_poison`), so later
-/// sessions cross it without recovering again.
-#[test]
-fn a_poisoned_shard_lock_never_reaches_a_later_session() {
-    // One shard: every registry access crosses the poisoned lock.
-    let registry = Arc::new(PlanRegistry::new(1, 64));
-    let pairs = pool(1);
-    let (src, dst) = &pairs[0];
-    let poisoner = std::thread::spawn({
-        let registry = Arc::clone(&registry);
-        let (src, dst) = (src.clone(), dst.clone());
-        move || registry.poison_shard_lock_for_tests(&src, &dst, 8)
-    });
-    assert!(poisoner.join().is_err(), "the hook panics while holding the shard lock");
-
-    let (s1, _) = run_session(&registry, src, dst, 4);
-    assert_eq!((s1.plans_computed, s1.registry_misses, s1.registry_hits), (2, 2, 0), "{s1:?}");
-    assert_eq!(s1.lock_poison_recoveries, 1, "the first access recovered the guard");
-    assert_eq!(registry.lock_recoveries(), 1);
-
-    let (s2, _) = run_session(&registry, src, dst, 4);
-    assert_eq!(s2.plans_computed, 0, "{s2:?}");
-    assert_eq!(s2.lock_poison_recoveries, 0, "the recovery healed the lock for good");
-    assert_eq!(registry.lock_recoveries(), 1);
-}
